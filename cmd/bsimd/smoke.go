@@ -2,10 +2,8 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
 	"net"
@@ -95,18 +93,6 @@ func smokeBackendRequest(id, isaName string) *svc.SimRequest {
 	}
 }
 
-// smokeUpgradeRequest targets a program nothing else in the smoke touches
-// (the li benchmark), so the upgrade phase fully controls the store file its
-// trace key resolves to.
-func smokeUpgradeRequest(id string) *svc.SimRequest {
-	return &svc.SimRequest{
-		Version: svc.SchemaVersion,
-		ID:      id,
-		Program: svc.ProgramSpec{Workload: "li", Scale: smokeScale, ISA: "conv"},
-		Config:  &svc.ConfigSpec{ICache: &svc.CacheSpec{SizeBytes: 32 * 1024, Ways: 4}},
-	}
-}
-
 // smokePredRequest asks the predictor-sensitivity question over the same
 // program, so the daemon serves the grid from the already-cached trace.
 func smokePredRequest(id string) *svc.SimRequest {
@@ -189,8 +175,7 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 		}
 	}
 	// When CI re-runs the smoke against a warm -store directory, the phase-1
-	// trace comes from the store — and by then the file is v3, so the hit
-	// must be a zero-copy mapping, not a decode.
+	// trace comes from the store, and the hit must be a zero-copy mapping.
 	storeWarm := got.ArtifactCache != nil && got.ArtifactCache.Store
 	if storeWarm && !got.ArtifactCache.Mmap {
 		return fmt.Errorf("warm store hit served without mmap: %+v", got.ArtifactCache)
@@ -433,94 +418,13 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 		return fmt.Errorf("store reports %g corrupt files", v)
 	}
 	if storeWarm {
-		// The warm re-run serves everything so far from mmapped v3 files:
-		// nothing recorded, nothing fully decoded.
+		// The warm re-run serves everything so far from mmapped store files:
+		// nothing recorded.
 		if v, ok := metricValue(metrics, "bsimd_trace_records_total"); !ok || v != 0 {
 			return fmt.Errorf("warm store run recorded %g traces (present %v), want 0", v, ok)
 		}
-		if v, _ := metricValue(metrics, `bsimd_store_events_total{event="fulldecode"}`); v != 0 {
-			return fmt.Errorf("warm store run fully decoded %g traces, want 0", v)
-		}
 	}
 	logger.Info("smoke: cache, coalescing, segment, and store metrics visible on /metrics")
-
-	// 5b. Legacy upgrade: seed the store with a v1-format file for the li
-	// program (which nothing above touched), and prove the first request to
-	// need it is served from the store (one full decode), that the file is
-	// rewritten in place as v3, and that the rewrite is visible on /metrics.
-	upReq := smokeUpgradeRequest("smoke-upgrade")
-	upKey, err := svc.TraceKeyFor(upReq)
-	if err != nil {
-		return err
-	}
-	upPlan, err := svc.BuildConfig(upReq)
-	if err != nil {
-		return err
-	}
-	upProf, ok := workload.ProfileByName("li", smokeScale)
-	if !ok {
-		return fmt.Errorf("no li profile")
-	}
-	upSrc, err := workload.Source(upProf)
-	if err != nil {
-		return err
-	}
-	upProg, err := compile.Compile(upSrc, "li", compile.DefaultOptions(isa.Conventional))
-	if err != nil {
-		return err
-	}
-	upTr, err := emu.Record(upProg, emu.Config{})
-	if err != nil {
-		return err
-	}
-	// A v1 file is the v2 varint layout with the version byte rolled back
-	// (v1 predates aux sections); re-seal the whole-body checksum after the
-	// version edit.
-	legacy := upTr.EncodeBytesLegacy(nil)
-	legacy[4] = 1
-	binary.LittleEndian.PutUint32(legacy[len(legacy)-4:],
-		crc32.Checksum(legacy[:len(legacy)-4], crc32.MakeTable(crc32.Castagnoli)))
-	if err := cfg.Store.PutRaw(upKey, legacy); err != nil {
-		return err
-	}
-	if v, err := emu.ReadTraceFileVersion(cfg.Store.FilePath(upKey)); err != nil || v != 1 {
-		return fmt.Errorf("seeded legacy file reads version %d (%v), want 1", v, err)
-	}
-	upGot, err := postSim(base, upReq)
-	if err != nil {
-		return fmt.Errorf("upgrade request: %w", err)
-	}
-	if upGot.ArtifactCache == nil || !upGot.ArtifactCache.Store {
-		return fmt.Errorf("upgrade request not served from the store: %+v", upGot.ArtifactCache)
-	}
-	if !upGot.ArtifactCache.Mmap {
-		return fmt.Errorf("upgrade hit served without mapping the rewritten file: %+v", upGot.ArtifactCache)
-	}
-	upRes, err := uarch.ReplayTrace(upTr, upPlan.Configs[0])
-	if err != nil {
-		return err
-	}
-	upWant := svc.ResultOf(upPlan.ICacheBytes[0], upRes)
-	if len(upGot.Results) != 1 || upGot.Results[0] != upWant {
-		return fmt.Errorf("upgraded trace diverges from the direct replay\nservice: %+v\ndirect:  %+v",
-			upGot.Results, upWant)
-	}
-	if v, err := emu.ReadTraceFileVersion(cfg.Store.FilePath(upKey)); err != nil || v != emu.TraceFormatVersion {
-		return fmt.Errorf("store file is version %d (%v) after first touch, want %d",
-			v, err, emu.TraceFormatVersion)
-	}
-	upMetrics, err := fetch(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	if v, ok := metricValue(upMetrics, `bsimd_store_mmap_events_total{event="rewrite"}`); !ok || v < 1 {
-		return fmt.Errorf("store rewrites = %g (present %v), want >= 1", v, ok)
-	}
-	if v, _ := metricValue(upMetrics, `bsimd_store_events_total{event="fulldecode"}`); v < 1 {
-		return fmt.Errorf("store full decodes = %g, want >= 1 (the legacy seed)", v)
-	}
-	logger.Info("smoke: v1 store file served on first touch and rewritten as v3",
-		"key", upKey)
 
 	// 6. Restart warm start: a second server pointed at the same store
 	// directory (a fresh svc.Store, as a restarted process would open) must
@@ -551,7 +455,7 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 		return fmt.Errorf("warm start not served from the store: %+v", warmGot.ArtifactCache)
 	}
 	if !warmGot.ArtifactCache.Mmap {
-		return fmt.Errorf("warm start served without mmap (file should be v3 by now): %+v", warmGot.ArtifactCache)
+		return fmt.Errorf("warm start served without mmap: %+v", warmGot.ArtifactCache)
 	}
 	if len(warmGot.Results) != len(want) {
 		return fmt.Errorf("warm start returned %d results, want %d", len(warmGot.Results), len(want))
@@ -561,19 +465,6 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 			return fmt.Errorf("warm start config %d diverges from the cold pass\nwarm: %+v\ncold: %+v",
 				i, warmGot.Results[i], want[i])
 		}
-	}
-	// The upgraded li trace must also hit warm — and as a mapping this time:
-	// phase 5b already rewrote the file, so no decode of any kind remains.
-	warmUp, err := postSim(warmBase, smokeUpgradeRequest("smoke-warm-upgrade"))
-	if err != nil {
-		return fmt.Errorf("warm upgrade request: %w", err)
-	}
-	if warmUp.ArtifactCache == nil || !warmUp.ArtifactCache.Store || !warmUp.ArtifactCache.Mmap {
-		return fmt.Errorf("warm upgraded trace not served from an mmapped store file: %+v", warmUp.ArtifactCache)
-	}
-	if len(warmUp.Results) != 1 || warmUp.Results[0] != upWant {
-		return fmt.Errorf("warm upgraded trace diverges from the direct replay\nservice: %+v\ndirect:  %+v",
-			warmUp.Results, upWant)
 	}
 	warmMetrics, err := fetch(warmBase + "/metrics")
 	if err != nil {
@@ -585,13 +476,10 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 	if v, ok := metricValue(warmMetrics, `bsimd_store_events_total{event="hit"}`); !ok || v < 1 {
 		return fmt.Errorf("warm start store hits = %g (present %v), want >= 1", v, ok)
 	}
-	if v, _ := metricValue(warmMetrics, `bsimd_store_events_total{event="fulldecode"}`); v != 0 {
-		return fmt.Errorf("warm start fully decoded %g traces, want 0 (all files v3 by now)", v)
-	}
 	if v, ok := metricValue(warmMetrics, `bsimd_store_mmap_events_total{event="map"}`); !ok || v < 1 {
 		return fmt.Errorf("warm start mmap maps = %g (present %v), want >= 1", v, ok)
 	}
-	logger.Info("smoke: restarted server served the sweep from mmapped v3 files with zero recordings",
+	logger.Info("smoke: restarted server served the sweep from mmapped store files with zero recordings",
 		"store", cfg.Store.Dir())
 	return nil
 }

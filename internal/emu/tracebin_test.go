@@ -2,7 +2,9 @@ package emu_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -15,7 +17,7 @@ import (
 
 // codecProgram compiles one generated program, enlarged when block-structured,
 // laid out either way (the trace references block addresses via the program).
-func codecProgram(t *testing.T, seed int64, kind isa.Kind) *isa.Program {
+func codecProgram(t testing.TB, seed int64, kind isa.Kind) *isa.Program {
 	t.Helper()
 	prog, err := compile.Compile(testgen.Program(seed), "codec", compile.DefaultOptions(kind))
 	if err != nil {
@@ -132,10 +134,12 @@ func TestTraceCodecDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestTraceCodecRejectsVersionAndProgramMismatch covers the header checks: an
-// unknown format version fails even with a valid checksum, and a trace
-// decoded against a different program (here: the block-structured compile of
-// the same source) is rejected rather than replayed wrong.
+// TestTraceCodecRejectsVersionAndProgramMismatch covers the header checks:
+// any version but the current one fails even with a valid header checksum —
+// the superseded v1/v2 varint layouts included, so a store holding one
+// quarantines and re-records it — and a trace decoded against a different
+// program (here: the block-structured compile of the same source) is
+// rejected rather than replayed wrong.
 func TestTraceCodecRejectsVersionAndProgramMismatch(t *testing.T) {
 	conv := codecProgram(t, 9022, isa.Conventional)
 	bsa := codecProgram(t, 9022, isa.BlockStructured)
@@ -145,10 +149,13 @@ func TestTraceCodecRejectsVersionAndProgramMismatch(t *testing.T) {
 	}
 	blob := tr.EncodeBytes(nil)
 
-	futur := append([]byte(nil), blob...)
-	futur[4] = 99 // version byte
-	if _, _, err := emu.DecodeTrace(futur, conv); !errors.Is(err, emu.ErrBadTrace) {
-		t.Fatalf("future version: err = %v, want ErrBadTrace", err)
+	for _, ver := range []byte{1, 2, 99} {
+		other := append([]byte(nil), blob...)
+		other[4] = ver
+		binary.LittleEndian.PutUint32(other[60:], crc32.Checksum(other[:60], crc32.MakeTable(crc32.Castagnoli)))
+		if _, _, err := emu.DecodeTrace(other, conv); !errors.Is(err, emu.ErrBadTrace) {
+			t.Fatalf("version %d: err = %v, want ErrBadTrace", ver, err)
+		}
 	}
 	if _, _, err := emu.DecodeTrace(blob, bsa); !errors.Is(err, emu.ErrBadTrace) {
 		t.Fatalf("wrong program: err = %v, want ErrBadTrace", err)

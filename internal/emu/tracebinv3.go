@@ -9,7 +9,7 @@ import (
 	"bsisa/internal/isa"
 )
 
-// BSTR v3 fixed-stride layout (see the format overview in tracebin.go). The
+// BSTR fixed-stride layout (see the format overview in tracebin.go). The
 // design constraints, in order:
 //
 //   - The body columns are bit-for-bit the flat slices Replay walks, so a
@@ -93,8 +93,11 @@ func (l v3Layout) columns(data []byte) [v3NumCols][]byte {
 	}
 }
 
-// encodeBytesV3 serializes the trace in the fixed-stride layout.
-func (t *Trace) encodeBytesV3(aux []AuxSection) []byte {
+// EncodeBytes serializes the trace (and any aux sections) into a fresh
+// checksummed buffer in the fixed-stride layout. Section tags must be
+// strictly increasing — the canonical form DecodeTrace enforces;
+// Store.AttachAux maintains it.
+func (t *Trace) EncodeBytes(aux []AuxSection) []byte {
 	l, err := v3LayoutFor(uint64(len(t.blocks)), uint64(len(t.memCnt)), uint64(len(t.mem)), 1<<62)
 	if err != nil {
 		// Unreachable for any trace that fits in memory.
@@ -108,7 +111,7 @@ func (t *Trace) encodeBytesV3(aux []AuxSection) []byte {
 	le := binary.LittleEndian
 
 	copy(buf, traceMagic)
-	buf[4] = traceVersion3
+	buf[4] = traceVersion
 	if len(aux) > 0 {
 		buf[5] = flagAux
 	}
@@ -148,14 +151,31 @@ func (t *Trace) encodeBytesV3(aux []AuxSection) []byte {
 	return le.AppendUint32(buf, crc32.Checksum(buf[l.tailOff:], crcTable))
 }
 
-// decodeTraceV3 validates a fixed-stride buffer and builds a Trace over it.
-// On a little-endian host with an 8-byte-aligned buffer the trace's columns
-// alias data directly (the zero-copy path every mmap hits — mappings are
-// page-aligned); otherwise the columns are copied out, same as v2.
-func decodeTraceV3(data []byte, prog *isa.Program) (*Trace, []AuxSection, error) {
+// DecodeTrace reconstructs a trace recorded from prog out of one encoded
+// buffer, returning the aux sections in tag order (nil when absent). The
+// decoded trace replays field-for-field identically to the trace EncodeBytes
+// was called on. The stream is validated against prog — block IDs, successor
+// indices, and static memory-operation counts must all match — so a file
+// keyed to the wrong program decodes to an error, never to a wrong answer.
+//
+// On a little-endian host with an 8-byte-aligned buffer the trace's event
+// columns alias data directly (Borrowed reports true; mmap pages always
+// qualify), so data must stay immutable and mapped for the trace's
+// lifetime. Misaligned buffers and big-endian hosts decode into fresh heap
+// slices.
+func DecodeTrace(data []byte, prog *isa.Program) (*Trace, []AuxSection, error) {
 	le := binary.LittleEndian
+	if prog == nil {
+		return nil, nil, fmt.Errorf("%w: nil program", ErrBadTrace)
+	}
 	if len(data) < v3HeaderLen {
-		return nil, nil, fmt.Errorf("%w: %d bytes is shorter than the v3 header", ErrBadTrace, len(data))
+		return nil, nil, fmt.Errorf("%w: %d bytes is shorter than the header", ErrBadTrace, len(data))
+	}
+	if string(data[:4]) != traceMagic {
+		return nil, nil, fmt.Errorf("%w: bad magic %q", ErrBadTrace, data[:4])
+	}
+	if data[4] != traceVersion {
+		return nil, nil, fmt.Errorf("%w: format version %d, want %d", ErrBadTrace, data[4], traceVersion)
 	}
 	if got, want := crc32.Checksum(data[:60], crcTable), le.Uint32(data[60:]); got != want {
 		return nil, nil, fmt.Errorf("%w: header checksum %08x, header says %08x", ErrBadTrace, got, want)
@@ -264,8 +284,8 @@ func decodeTraceV3(data []byte, prog *isa.Program) (*Trace, []AuxSection, error)
 		}
 	}
 
-	// Structural validation against the program, exactly v2's rules: static
-	// memory counts must match, every committed block must exist, successor
+	// Structural validation against the program: static memory counts must
+	// match, every committed block must exist, successor
 	// indices must be in range, and the memory column must be exactly the
 	// sum of the committed blocks' static counts.
 	for id, n := range t.memCnt {

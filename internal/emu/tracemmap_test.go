@@ -1,10 +1,8 @@
 package emu_test
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -23,59 +21,6 @@ func writeTraceFile(t *testing.T, blob []byte) string {
 		t.Fatal(err)
 	}
 	return path
-}
-
-// TestLegacyEncodingsDecode pins the compatibility contract: the v2 varint
-// form still decodes to the identical trace, and a v1 file — the v2 layout
-// with the version byte rolled back and no aux flag — does too, so stores
-// written by any prior release stay readable. A v1 file claiming aux
-// sections is a contradiction (v1 predates them) and must be rejected.
-func TestLegacyEncodingsDecode(t *testing.T) {
-	prog := codecProgram(t, 9024, isa.Conventional)
-	tr, err := emu.Record(prog, emu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := tr.EncodeBytesLegacy([]emu.AuxSection{{Tag: 8, Data: []byte("aux")}})
-	dec2, aux2, err := emu.DecodeTrace(v2, prog)
-	if err != nil {
-		t.Fatalf("v2 decode: %v", err)
-	}
-	if len(aux2) != 1 || aux2[0].Tag != 8 || !bytes.Equal(aux2[0].Data, []byte("aux")) {
-		t.Fatalf("v2 aux = %+v", aux2)
-	}
-	if !reflect.DeepEqual(replayEvents(t, dec2), replayEvents(t, tr)) {
-		t.Fatal("v2 decode replays a different event stream")
-	}
-	if !bytes.Equal(dec2.EncodeBytes(nil), tr.EncodeBytes(nil)) {
-		t.Fatal("v2 decode does not re-encode (as v3) byte-identically")
-	}
-
-	reseal := func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[len(b)-4:],
-			crc32.Checksum(b[:len(b)-4], crc32.MakeTable(crc32.Castagnoli)))
-		return b
-	}
-	v1 := reseal(append([]byte(nil), tr.EncodeBytesLegacy(nil)...))
-	v1[4] = 1
-	v1 = reseal(v1)
-	dec1, aux1, err := emu.DecodeTrace(v1, prog)
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
-	}
-	if len(aux1) != 0 {
-		t.Fatalf("v1 aux = %+v, want none", aux1)
-	}
-	if !reflect.DeepEqual(replayEvents(t, dec1), replayEvents(t, tr)) {
-		t.Fatal("v1 decode replays a different event stream")
-	}
-
-	bogus := append([]byte(nil), tr.EncodeBytesLegacy([]emu.AuxSection{{Tag: 8, Data: []byte("x")}})...)
-	bogus[4] = 1 // v1 with the aux flag still set
-	bogus = reseal(bogus)
-	if _, _, err := emu.DecodeTrace(bogus, prog); !errors.Is(err, emu.ErrBadTrace) {
-		t.Fatalf("v1 with aux flag: err = %v, want ErrBadTrace", err)
-	}
 }
 
 // TestV3TargetedCorruption aims at the v3-specific failure modes the
@@ -120,8 +65,7 @@ func TestV3TargetedCorruption(t *testing.T) {
 
 // TestOpenTraceFile covers the mapping happy path: the mapped trace is
 // zero-copy (borrowed) on platforms with mmap, replays the recorded stream
-// exactly, and reports the file's size; ReadTraceFileVersion probes the
-// header without decoding.
+// exactly, and reports the file's size.
 func TestOpenTraceFile(t *testing.T) {
 	prog := codecProgram(t, 9026, isa.Conventional)
 	tr, err := emu.Record(prog, emu.Config{})
@@ -132,9 +76,6 @@ func TestOpenTraceFile(t *testing.T) {
 	blob := tr.EncodeBytes(aux)
 	path := writeTraceFile(t, blob)
 
-	if ver, err := emu.ReadTraceFileVersion(path); err != nil || ver != emu.TraceFormatVersion {
-		t.Fatalf("ReadTraceFileVersion = %d, %v", ver, err)
-	}
 	m, err := emu.OpenTraceFile(path, prog)
 	if err != nil {
 		t.Fatal(err)
@@ -165,9 +106,6 @@ func TestOpenTraceFile(t *testing.T) {
 	}
 	if _, err := emu.OpenTraceFile(filepath.Join(t.TempDir(), "gone.bstr"), prog); err == nil || errors.Is(err, emu.ErrBadTrace) {
 		t.Fatalf("missing file: err = %v, want a non-ErrBadTrace error", err)
-	}
-	if _, err := emu.ReadTraceFileVersion(writeTraceFile(t, blob[:5])); !errors.Is(err, emu.ErrBadTrace) {
-		t.Fatalf("short version probe: err = %v, want ErrBadTrace", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,23 +14,25 @@ import (
 	"bsisa/internal/uarch"
 )
 
-// MmapReplaySpeed times the two ways a bsimd process can turn a store file
-// into a replayable trace: decoding the legacy varint form into the heap
-// versus memory-mapping the fixed-stride v3 form and aliasing its column
-// arrays in place (emu.OpenTraceFile). Both paths are measured from bytes on
-// disk to a trace a replay engine will accept — the v3 path's cost is one
-// checksum-and-validate pass with no per-event work — and each mapped trace
-// is then replayed and checked field-for-field against the decoded one, so
-// the speedup never comes at the price of a divergent answer. The alloc
-// columns are the per-request heap bill: the decode path pays for every
-// column array, the mapped path only for bookkeeping, which is what lets a
-// loaded bsimd serve large sweeps without decode allocations at all.
+// MmapReplaySpeed times the two ways a bsimd process can obtain a
+// replayable committed-block trace: a fresh functional recording
+// (emu.Record) versus memory-mapping the fixed-stride file a persistent
+// store holds on disk and aliasing its column arrays in place
+// (emu.OpenTraceFile), over every benchmark and both ISAs. The map path is
+// measured from bytes on disk to a trace a replay engine will accept — one
+// checksum-and-validate pass with no per-event work. Every row checks two
+// equivalences, so the speedup never comes at the price of a divergent
+// answer: the mapped trace re-encodes byte-identically to the independent
+// fresh recording, and it replays field-for-field identically to it. The
+// alloc columns are the per-request heap bill: recording pays for every
+// column array, mapping only for bookkeeping, which is what lets a loaded
+// bsimd serve large sweeps from its store without allocations per trace.
 func (h *Harness) MmapReplaySpeed() (*stats.Table, error) {
 	t := &stats.Table{
-		Title: "Mmap replay speed: legacy heap decode vs mapping the fixed-stride v3 form",
+		Title: "Mmap replay speed: fresh recording vs mapping the stored fixed-stride form",
 		Columns: []string{"Benchmark", "ISA", "Events", "Bytes",
-			"Decode (us)", "Map (us)", "Speedup", "Dec alloc (KB)", "Map alloc (KB)"},
-		Note: "Mapped traces replay field-for-field identical to decoded ones (checked per row).",
+			"Record (us)", "Map (us)", "Speedup", "Rec alloc (KB)", "Map alloc (KB)"},
+		Note: "Mapped traces re-encode byte-identically to, and replay field-for-field identical to, an independent fresh recording (checked per row).",
 	}
 	dir, err := os.MkdirTemp("", "bsisa-mmapreplay-")
 	if err != nil {
@@ -38,8 +41,8 @@ func (h *Harness) MmapReplaySpeed() (*stats.Table, error) {
 	defer os.RemoveAll(dir)
 
 	cfg := baseConfig(LargeICache, false)
-	var decodeTotal, mapTotal time.Duration
-	var decAllocTotal, mapAllocTotal int64
+	var recordTotal, mapTotal time.Duration
+	var recAllocTotal, mapAllocTotal, bytesTotal int64
 	for _, b := range h.Benches {
 		for _, side := range []struct {
 			tag  string
@@ -53,10 +56,9 @@ func (h *Harness) MmapReplaySpeed() (*stats.Table, error) {
 				return nil, fmt.Errorf("harness: mmapreplay: %s/%s has no trace slot", b.Profile.Name, side.tag)
 			}
 			h.Opts.progress("mmapreplay %-8s %s", b.Profile.Name, side.tag)
-			legacy := tr.EncodeBytesLegacy(nil)
-			v3 := tr.EncodeBytes(nil)
+			blob := tr.EncodeBytes(nil)
 			path := filepath.Join(dir, fmt.Sprintf("%s-%s.bstr", b.Profile.Name, side.tag))
-			if err := os.WriteFile(path, v3, 0o644); err != nil {
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
 				return nil, err
 			}
 
@@ -64,13 +66,13 @@ func (h *Harness) MmapReplaySpeed() (*stats.Table, error) {
 			runtime.ReadMemStats(&ms)
 			before := ms.TotalAlloc
 			start := time.Now()
-			dec, _, err := emu.DecodeTrace(legacy, side.prog)
+			fresh, err := emu.Record(side.prog, emu.Config{MaxOps: h.Opts.EmuBudget})
 			if err != nil {
-				return nil, fmt.Errorf("harness: mmapreplay: %s/%s: decode: %w", b.Profile.Name, side.tag, err)
+				return nil, err
 			}
-			decodeDur := time.Since(start)
+			recordDur := time.Since(start)
 			runtime.ReadMemStats(&ms)
-			decAlloc := int64(ms.TotalAlloc - before)
+			recAlloc := int64(ms.TotalAlloc - before)
 
 			runtime.ReadMemStats(&ms)
 			before = ms.TotalAlloc
@@ -83,19 +85,11 @@ func (h *Harness) MmapReplaySpeed() (*stats.Table, error) {
 			runtime.ReadMemStats(&ms)
 			mapAlloc := int64(ms.TotalAlloc - before)
 
-			rd, err := uarch.ReplayTrace(dec, cfg)
-			if err != nil {
-				return nil, err
-			}
-			rm, err := uarch.ReplayTrace(m.Trace(), cfg)
-			if err != nil {
-				return nil, err
-			}
+			err = checkMapped(m.Trace(), fresh, cfg)
 			zero := m.ZeroCopy()
 			m.Release()
-			if *rd != *rm {
-				return nil, fmt.Errorf("harness: mmapreplay: %s/%s: mapped replay diverges from decoded replay",
-					b.Profile.Name, side.tag)
+			if err != nil {
+				return nil, fmt.Errorf("harness: mmapreplay: %s/%s: %w", b.Profile.Name, side.tag, err)
 			}
 			tag := side.tag
 			if !zero {
@@ -104,19 +98,40 @@ func (h *Harness) MmapReplaySpeed() (*stats.Table, error) {
 				tag += "*"
 			}
 
-			decodeTotal += decodeDur
+			recordTotal += recordDur
 			mapTotal += mapDur
-			decAllocTotal += decAlloc
+			recAllocTotal += recAlloc
 			mapAllocTotal += mapAlloc
-			t.AddRow(b.Profile.Name, tag, tr.NumEvents(), len(v3),
-				decodeDur.Microseconds(), mapDur.Microseconds(),
-				fmt.Sprintf("%.2fx", float64(decodeDur)/float64(mapDur)),
-				decAlloc/1024, mapAlloc/1024)
+			bytesTotal += int64(len(blob))
+			t.AddRow(b.Profile.Name, tag, tr.NumEvents(), len(blob),
+				recordDur.Microseconds(), mapDur.Microseconds(),
+				fmt.Sprintf("%.2fx", float64(recordDur)/float64(mapDur)),
+				recAlloc/1024, mapAlloc/1024)
 		}
 	}
-	t.AddRow("TOTAL", "", "", "",
-		decodeTotal.Microseconds(), mapTotal.Microseconds(),
-		fmt.Sprintf("%.2fx", float64(decodeTotal)/float64(mapTotal)),
-		decAllocTotal/1024, mapAllocTotal/1024)
+	t.AddRow("TOTAL", "", "", bytesTotal,
+		recordTotal.Microseconds(), mapTotal.Microseconds(),
+		fmt.Sprintf("%.2fx", float64(recordTotal)/float64(mapTotal)),
+		recAllocTotal/1024, mapAllocTotal/1024)
 	return t, nil
+}
+
+// checkMapped verifies a mapped trace against an independent fresh
+// recording: byte-identical re-encodes, and identical replays at cfg.
+func checkMapped(mapped, fresh *emu.Trace, cfg uarch.Config) error {
+	if !bytes.Equal(mapped.EncodeBytes(nil), fresh.EncodeBytes(nil)) {
+		return fmt.Errorf("mapped trace does not re-encode byte-identically to a fresh recording")
+	}
+	rm, err := uarch.ReplayTrace(mapped, cfg)
+	if err != nil {
+		return err
+	}
+	rf, err := uarch.ReplayTrace(fresh, cfg)
+	if err != nil {
+		return err
+	}
+	if *rm != *rf {
+		return fmt.Errorf("mapped replay diverges from the recorded replay")
+	}
+	return nil
 }

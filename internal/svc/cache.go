@@ -217,18 +217,6 @@ func traceKey(progKey string, emuMaxOps int64) string {
 	return fmt.Sprintf("%s/emu=%d", progKey, emuMaxOps)
 }
 
-// TraceKeyFor derives the persistent-store trace key a request resolves to,
-// by normalizing it exactly as the job pipeline would (BuildConfig). Tools
-// that pre-seed or inspect a store (the smoke harness's upgrade phase) use
-// it to address the same file the service will touch.
-func TraceKeyFor(req *SimRequest) (string, error) {
-	plan, err := BuildConfig(req)
-	if err != nil {
-		return "", err
-	}
-	return traceKey(programKey(plan.Program), plan.EmuCfg.MaxOps), nil
-}
-
 // predecodeKey derives the predecoded-op-table artifact key: the program plus
 // the effective issue width (the lane split depends on both, and nothing
 // else — per-geometry cache-line splits are applied on copies downstream).

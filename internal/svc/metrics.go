@@ -123,7 +123,7 @@ func (m *metrics) writeProm(w io.Writer, programs, traces, predecodes cacheCount
 			v     int64
 		}{
 			{"hit", store.Hits}, {"miss", store.Misses}, {"write", store.Writes},
-			{"corrupt", store.Corruptions}, {"evict", store.Evictions}, {"fulldecode", store.FullDecodes},
+			{"corrupt", store.Corruptions}, {"evict", store.Evictions},
 		} {
 			fmt.Fprintf(w, "bsimd_store_events_total{event=%q} %d\n", e.event, e.v)
 		}
@@ -135,7 +135,6 @@ func (m *metrics) writeProm(w io.Writer, programs, traces, predecodes cacheCount
 		fmt.Fprintf(w, "# TYPE bsimd_store_mmap_events_total counter\n")
 		fmt.Fprintf(w, "bsimd_store_mmap_events_total{event=\"map\"} %d\n", store.MmapMaps)
 		fmt.Fprintf(w, "bsimd_store_mmap_events_total{event=\"unmap\"} %d\n", store.MmapUnmaps)
-		fmt.Fprintf(w, "bsimd_store_mmap_events_total{event=\"rewrite\"} %d\n", store.Rewrites)
 		gauge("bsimd_store_mmap_resident_bytes",
 			"Bytes of trace files currently mmapped by in-flight or cached replays.", store.ResidentBytes)
 	}

@@ -42,7 +42,7 @@ type cachedTrace struct {
 	tr        *emu.Trace
 	aux       []emu.AuxSection
 	fromStore bool
-	mapped    *MappedTrace // non-nil when served from the store's mmap tier
+	mapped    *emu.TraceMapping // non-nil when served from the store's mmap tier
 }
 
 func (ct *cachedTrace) tryRef() bool { return ct.mapped == nil || ct.mapped.Acquire() }

@@ -32,10 +32,10 @@ import (
 // file. Corruption is therefore never fatal and never poisons a key: the
 // worst a flipped bit costs is one re-record.
 //
-// Reads prefer the mmap tier (LoadTraceMapped): a v3 fixed-stride file is
-// mapped read-only and served as a borrowed zero-copy trace, legacy v1/v2
-// files are decoded once and transparently rewritten as v3 so every later
-// touch maps. With SetMaxBytes the store garbage-collects itself, evicting
+// Reads go through the mmap tier (LoadTraceMapped): a file is mapped
+// read-only and served as a borrowed zero-copy trace. A file in any other
+// format version fails validation like any corruption and is re-recorded.
+// With SetMaxBytes the store garbage-collects itself, evicting
 // least-recently-used files — but never a file an in-flight replay still has
 // mapped.
 type Store struct {
@@ -45,10 +45,9 @@ type Store struct {
 	hits, misses, writes, corruptions atomic.Int64
 	bytesRead, bytesWritten           atomic.Int64
 
-	mmapMaps, mmapUnmaps  atomic.Int64
-	rewrites, fullDecodes atomic.Int64
-	evictions             atomic.Int64
-	residentBytes         atomic.Int64
+	mmapMaps, mmapUnmaps atomic.Int64
+	evictions            atomic.Int64
+	residentBytes        atomic.Int64
 
 	mu   sync.Mutex
 	live map[string]*emu.TraceMapping // path → mapping with refs in flight
@@ -82,93 +81,29 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, hex.EncodeToString(sum[:16])+".bstr")
 }
 
-// FilePath reports the file a key resolves to — for tooling and tests that
-// inspect or seed store contents (the smoke harness's upgrade phase checks
-// the on-disk format version through it).
-func (s *Store) FilePath(key string) string { return s.path(key) }
-
-// LoadTrace returns the stored trace (and its aux sections, if any) for key,
-// or ok=false on a miss, decoding the file into the heap. A file that exists
-// but fails validation — bad checksum, truncation, unknown format version,
-// or a stream that does not match prog/cfg — is quarantined (renamed aside
-// with a .corrupt suffix, for post mortems) and reported as a miss, so the
-// caller falls through to a rebuild. LoadTraceMapped is the zero-copy path
-// the service serves from; this entry point remains for callers that want an
-// unbounded-lifetime heap trace.
-func (s *Store) LoadTrace(key string, prog *isa.Program, cfg emu.Config) (tr *emu.Trace, aux []emu.AuxSection, ok bool) {
-	p := s.path(key)
-	data, err := os.ReadFile(p)
-	if err != nil {
-		// Not-exists is the ordinary cold miss; any other read error (perms,
-		// I/O) degrades to a miss the same way — the store never fails a job.
-		s.misses.Add(1)
-		return nil, nil, false
-	}
-	tr, aux, err = emu.DecodeTrace(data, prog)
-	if err != nil || tr.EmuConfig() != cfg {
-		// The content does not belong under this key: either the bytes
-		// rotted, or something else wrote the file. Same remedy either way.
-		s.quarantine(p)
-		s.corruptions.Add(1)
-		s.misses.Add(1)
-		return nil, nil, false
-	}
-	s.hits.Add(1)
-	s.bytesRead.Add(int64(len(data)))
-	s.touch(p)
-	return tr, aux, true
-}
-
 // LoadTraceMapped returns the stored trace for key as a reference-counted
-// mapping, or ok=false on a miss. A v3 file is memory-mapped read-only and
-// served zero-copy; a legacy v1/v2 file is fully decoded once, rewritten in
-// place as v3, and the rewrite is then mapped — so any file is upgraded on
-// first touch and every subsequent load across the fleet is an mmap.
-// Validation failures quarantine exactly like LoadTrace.
+// mapping, or ok=false on a miss. The file is memory-mapped read-only and
+// served zero-copy. A file that exists but fails validation — bad checksum,
+// truncation, an unknown format version (including the superseded v1/v2
+// layouts), or a stream that does not match prog/cfg — is quarantined
+// (renamed aside with a .corrupt suffix, for post mortems) and reported as a
+// miss, so the caller falls through to a re-record.
 //
-// The returned MappedTrace carries one reference owned by the caller, who
-// must Release it when the last replay using the trace has drained; the
+// The returned mapping carries one reference owned by the caller, who must
+// Release it when the last replay using the trace has drained; the
 // underlying pages stay mapped until then, so eviction or cache turnover can
 // never unmap under an active replay.
-func (s *Store) LoadTraceMapped(key string, prog *isa.Program, cfg emu.Config) (*MappedTrace, bool) {
+func (s *Store) LoadTraceMapped(key string, prog *isa.Program, cfg emu.Config) (*emu.TraceMapping, bool) {
 	p := s.path(key)
-	ver, err := emu.ReadTraceFileVersion(p)
-	if err != nil {
-		if errors.Is(err, emu.ErrBadTrace) {
-			s.quarantine(p)
-			s.corruptions.Add(1)
-		}
-		s.misses.Add(1)
-		return nil, false
-	}
-	if ver != emu.TraceFormatVersion {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			s.misses.Add(1)
-			return nil, false
-		}
-		tr, aux, derr := emu.DecodeTrace(data, prog)
-		if derr != nil || tr.EmuConfig() != cfg {
-			s.quarantine(p)
-			s.corruptions.Add(1)
-			s.misses.Add(1)
-			return nil, false
-		}
-		s.fullDecodes.Add(1)
-		s.bytesRead.Add(int64(len(data)))
-		if serr := s.SaveTrace(key, tr, aux); serr != nil {
-			// Can't rewrite (disk trouble): still a hit, served from the heap
-			// decode we already paid for.
-			s.hits.Add(1)
-			return &MappedTrace{tr: tr, aux: aux}, true
-		}
-		s.rewrites.Add(1)
-	}
 	m, err := emu.OpenTraceFile(p, prog)
 	if err != nil || m.Trace().EmuConfig() != cfg {
 		if err == nil {
 			m.Release()
 		}
+		// Not-exists is the ordinary cold miss; any other open error (perms,
+		// I/O) degrades to a miss the same way — the store never fails a job.
+		// Content that does not belong under this key — rotted bytes, or
+		// something else wrote the file — is moved aside.
 		if err == nil || errors.Is(err, emu.ErrBadTrace) {
 			s.quarantine(p)
 			s.corruptions.Add(1)
@@ -196,37 +131,7 @@ func (s *Store) LoadTraceMapped(key string, prog *isa.Program, cfg emu.Config) (
 		})
 	}
 	s.touch(p)
-	return &MappedTrace{m: m, tr: m.Trace(), aux: m.Aux()}, true
-}
-
-// MappedTrace is a store-served trace handle: either a zero-copy view over a
-// reference-counted file mapping, or (when mapping was impossible — a failed
-// rewrite, say) a plain heap decode with a no-op lifecycle. Acquire/Release
-// bracket every use; the trace is valid only between them.
-type MappedTrace struct {
-	m   *emu.TraceMapping // nil when served from a heap decode
-	tr  *emu.Trace
-	aux []emu.AuxSection
-}
-
-// Trace returns the trace; it aliases mapped pages when ZeroCopy is true.
-func (mt *MappedTrace) Trace() *emu.Trace { return mt.tr }
-
-// Aux returns the file's aux sections (always heap copies).
-func (mt *MappedTrace) Aux() []emu.AuxSection { return mt.aux }
-
-// ZeroCopy reports whether the trace aliases a read-only file mapping.
-func (mt *MappedTrace) ZeroCopy() bool { return mt.m != nil && mt.m.ZeroCopy() }
-
-// Acquire takes an additional reference; false means the mapping already
-// fully closed and the caller must reload from the store.
-func (mt *MappedTrace) Acquire() bool { return mt.m == nil || mt.m.Acquire() }
-
-// Release drops one reference; the final release unmaps.
-func (mt *MappedTrace) Release() {
-	if mt.m != nil {
-		mt.m.Release()
-	}
+	return m, true
 }
 
 // SaveTrace writes the trace (and any aux sections) for key atomically and
@@ -245,15 +150,6 @@ func (s *Store) SaveTrace(key string, tr *emu.Trace, aux []emu.AuxSection) error
 	s.bytesWritten.Add(int64(len(blob)))
 	s.maybeGC()
 	return nil
-}
-
-// PutRaw installs pre-encoded bytes under key with the same atomic+durable
-// discipline as SaveTrace, bypassing encoding and the write counters. It
-// exists for tooling and tests that seed a store with files in a specific
-// (possibly legacy) format; the bytes are validated on the next load like
-// any other file.
-func (s *Store) PutRaw(key string, blob []byte) error {
-	return s.writeAtomic(s.path(key), blob)
 }
 
 func (s *Store) writeAtomic(path string, blob []byte) error {
@@ -415,7 +311,6 @@ type storeCounters struct {
 	Hits, Misses, Writes, Corruptions int64
 	BytesRead, BytesWritten           int64
 	MmapMaps, MmapUnmaps              int64
-	Rewrites, FullDecodes             int64
 	Evictions                         int64
 	ResidentBytes                     int64
 }
@@ -430,8 +325,6 @@ func (s *Store) counters() storeCounters {
 		BytesWritten:  s.bytesWritten.Load(),
 		MmapMaps:      s.mmapMaps.Load(),
 		MmapUnmaps:    s.mmapUnmaps.Load(),
-		Rewrites:      s.rewrites.Load(),
-		FullDecodes:   s.fullDecodes.Load(),
 		Evictions:     s.evictions.Load(),
 		ResidentBytes: s.residentBytes.Load(),
 	}

@@ -1,8 +1,6 @@
 package svc
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"reflect"
 	"sync"
@@ -12,18 +10,7 @@ import (
 	"bsisa/internal/emu"
 )
 
-// legacyBlob renders tr in the v1 on-disk form: the v2 varint layout with
-// the version byte rolled back and the whole-body checksum re-sealed.
-func legacyBlob(t *testing.T, tr *emu.Trace) []byte {
-	t.Helper()
-	b := append([]byte(nil), tr.EncodeBytesLegacy(nil)...)
-	b[4] = 1
-	binary.LittleEndian.PutUint32(b[len(b)-4:],
-		crc32.Checksum(b[:len(b)-4], crc32.MakeTable(crc32.Castagnoli)))
-	return b
-}
-
-// TestStoreMappedHitAndRelease covers the v3 fast path: a stored trace is
+// TestStoreMappedHitAndRelease covers the mmap tier: a stored trace is
 // served as a zero-copy mapping, resident bytes track the mapping's
 // lifetime, and the release ordering (unmap only after the last reference)
 // holds.
@@ -42,14 +29,14 @@ func TestStoreMappedHitAndRelease(t *testing.T) {
 	}
 	mt, ok := st.LoadTraceMapped(key, prog, emu.Config{})
 	if !ok {
-		t.Fatal("stored v3 trace not served")
+		t.Fatal("stored trace not served")
 	}
 	if !mt.ZeroCopy() {
 		t.Skip("platform mapped the file into the heap; mmap-tier accounting does not apply")
 	}
 	cc := st.counters()
-	if cc.MmapMaps != 1 || cc.ResidentBytes <= 0 || cc.Rewrites != 0 || cc.FullDecodes != 0 {
-		t.Fatalf("counters after v3 hit = %+v", cc)
+	if cc.MmapMaps != 1 || cc.ResidentBytes <= 0 {
+		t.Fatalf("counters after a mapped hit = %+v", cc)
 	}
 	if !reflect.DeepEqual(mt.Trace().BlockIDs(), tr.BlockIDs()) {
 		t.Fatal("mapped trace's event stream diverges")
@@ -64,71 +51,6 @@ func TestStoreMappedHitAndRelease(t *testing.T) {
 	mt.Release()
 	if got := st.counters(); got.MmapUnmaps != 1 || got.ResidentBytes != 0 {
 		t.Fatalf("final release did not unmap: %+v", got)
-	}
-}
-
-// TestStoreRewritesLegacyToV3 is the upgrade contract: a v1 file is served
-// on first touch via one full decode, rewritten in place as v3, and the
-// second load maps the rewritten file with no further decode.
-func TestStoreRewritesLegacyToV3(t *testing.T) {
-	st, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, tr := storeTrace(t, 5151)
-	key := traceKey("prog-l", 0)
-	if err := st.PutRaw(key, legacyBlob(t, tr)); err != nil {
-		t.Fatal(err)
-	}
-	if ver, err := emu.ReadTraceFileVersion(st.FilePath(key)); err != nil || ver != 1 {
-		t.Fatalf("seeded file version = %d, %v, want 1", ver, err)
-	}
-
-	mt, ok := st.LoadTraceMapped(key, prog, emu.Config{})
-	if !ok {
-		t.Fatal("legacy file not served")
-	}
-	if !reflect.DeepEqual(mt.Trace().BlockIDs(), tr.BlockIDs()) {
-		t.Fatal("upgraded trace's event stream diverges")
-	}
-	cc := st.counters()
-	if cc.FullDecodes != 1 || cc.Rewrites != 1 || cc.Hits != 1 {
-		t.Fatalf("counters after upgrade = %+v, want 1 fulldecode / 1 rewrite / 1 hit", cc)
-	}
-	if ver, err := emu.ReadTraceFileVersion(st.FilePath(key)); err != nil || ver != emu.TraceFormatVersion {
-		t.Fatalf("file version after first touch = %d, %v, want %d", ver, err, emu.TraceFormatVersion)
-	}
-	mt.Release()
-
-	mt2, ok := st.LoadTraceMapped(key, prog, emu.Config{})
-	if !ok {
-		t.Fatal("rewritten file not served")
-	}
-	defer mt2.Release()
-	if cc := st.counters(); cc.FullDecodes != 1 {
-		t.Fatalf("second load decoded again: %+v", cc)
-	}
-	if mt2.ZeroCopy() {
-		if cc := st.counters(); cc.MmapMaps < 2 {
-			t.Fatalf("second load did not map: %+v", cc)
-		}
-	}
-
-	// A corrupt legacy file quarantines like any other corruption.
-	bad := legacyBlob(t, tr)
-	bad[len(bad)/2] ^= 0x10
-	key2 := traceKey("prog-l2", 0)
-	if err := st.PutRaw(key2, bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.LoadTraceMapped(key2, prog, emu.Config{}); ok {
-		t.Fatal("corrupt legacy file served")
-	}
-	if cc := st.counters(); cc.Corruptions != 1 {
-		t.Fatalf("corrupt legacy file not quarantined: %+v", cc)
-	}
-	if _, err := os.Stat(st.FilePath(key2) + ".corrupt"); err != nil {
-		t.Fatalf("no quarantine file: %v", err)
 	}
 }
 
@@ -154,7 +76,7 @@ func TestStoreGCEvictsLRU(t *testing.T) {
 	// file (gc-a) must go, and only as many as needed.
 	base := time.Now().Add(-time.Hour)
 	for i, k := range keys {
-		if err := os.Chtimes(st.FilePath(k), base.Add(time.Duration(i)*time.Minute), base); err != nil {
+		if err := os.Chtimes(st.path(k), base.Add(time.Duration(i)*time.Minute), base); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,11 +84,11 @@ func TestStoreGCEvictsLRU(t *testing.T) {
 	if err := st.SaveTrace(traceKey("gc-d", 0), tr, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(st.FilePath(keys[0])); !os.IsNotExist(err) {
+	if _, err := os.Stat(st.path(keys[0])); !os.IsNotExist(err) {
 		t.Fatalf("coldest file survived the sweep: %v", err)
 	}
 	for _, k := range append(keys[1:], traceKey("gc-d", 0)) {
-		if _, err := os.Stat(st.FilePath(k)); err != nil {
+		if _, err := os.Stat(st.path(k)); err != nil {
 			t.Fatalf("warm file %s evicted: %v", k, err)
 		}
 	}
@@ -184,14 +106,14 @@ func TestStoreGCEvictsLRU(t *testing.T) {
 		mt.Release()
 		t.Skip("platform mapped the file into the heap; liveness protection does not apply")
 	}
-	if err := os.Chtimes(st.FilePath(keys[1]), base, base); err != nil {
+	if err := os.Chtimes(st.path(keys[1]), base, base); err != nil {
 		t.Fatal(err)
 	}
 	st.SetMaxBytes(1)
 	if err := st.SaveTrace(traceKey("gc-e", 0), tr, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(st.FilePath(keys[1])); err != nil {
+	if _, err := os.Stat(st.path(keys[1])); err != nil {
 		t.Fatalf("live-mapped file evicted under active use: %v", err)
 	}
 	if !reflect.DeepEqual(mt.Trace().BlockIDs(), tr.BlockIDs()) {
@@ -202,7 +124,7 @@ func TestStoreGCEvictsLRU(t *testing.T) {
 	if err := st.SaveTrace(traceKey("gc-f", 0), tr, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(st.FilePath(keys[1])); !os.IsNotExist(err) {
+	if _, err := os.Stat(st.path(keys[1])); !os.IsNotExist(err) {
 		t.Fatalf("drained file survived the next sweep: %v", err)
 	}
 }

@@ -50,6 +50,18 @@ func requireSame(t *testing.T, want, got *emu.Trace, wantAux, gotAux []emu.AuxSe
 	}
 }
 
+// loadMapped serves key through the store's mmap tier and returns the trace
+// and its aux sections; the mapping is released when the test ends.
+func loadMapped(t *testing.T, st *Store, key string, prog *isa.Program, cfg emu.Config) (*emu.Trace, []emu.AuxSection, bool) {
+	t.Helper()
+	m, ok := st.LoadTraceMapped(key, prog, cfg)
+	if !ok {
+		return nil, nil, false
+	}
+	t.Cleanup(m.Release)
+	return m.Trace(), m.Aux(), true
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	st, err := NewStore(t.TempDir())
 	if err != nil {
@@ -58,14 +70,14 @@ func TestStoreRoundTrip(t *testing.T) {
 	prog, tr := storeTrace(t, 4242)
 	key := traceKey("prog-a", 0)
 
-	if _, _, ok := st.LoadTrace(key, prog, emu.Config{}); ok {
+	if _, _, ok := loadMapped(t, st, key, prog, emu.Config{}); ok {
 		t.Fatal("cold store claims a hit")
 	}
 	aux := []emu.AuxSection{{Tag: 16, Data: []byte("predecode-blob")}}
 	if err := st.SaveTrace(key, tr, aux); err != nil {
 		t.Fatal(err)
 	}
-	got, gotAux, ok := st.LoadTrace(key, prog, emu.Config{})
+	got, gotAux, ok := loadMapped(t, st, key, prog, emu.Config{})
 	if !ok {
 		t.Fatal("stored trace not served back")
 	}
@@ -85,7 +97,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, gotAux2, ok := st2.LoadTrace(key, prog, emu.Config{})
+	got2, gotAux2, ok := loadMapped(t, st2, key, prog, emu.Config{})
 	if !ok {
 		t.Fatal("reopened store misses a persisted trace")
 	}
@@ -95,7 +107,9 @@ func TestStoreRoundTrip(t *testing.T) {
 // TestStoreQuarantinesCorruption damages the stored file every way the
 // acceptance criteria name — truncation, a flipped byte, a wrong format
 // version — and requires each to be detected, quarantined, and rebuilt
-// rather than served or fatal.
+// rather than served or fatal. The superseded v1/v2 versions take exactly
+// this path: the file is quarantined and counted as corrupt, the trace is
+// re-recorded, and the rewrite is served from the mmap tier.
 func TestStoreQuarantinesCorruption(t *testing.T) {
 	prog, tr := storeTrace(t, 4243)
 	good := tr.EncodeBytes(nil)
@@ -114,6 +128,16 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 			c[4] = 99
 			return c
 		}},
+		{"v1", func(b []byte) []byte {
+			c := append([]byte(nil), b...)
+			c[4] = 1
+			return c
+		}},
+		{"v2", func(b []byte) []byte {
+			c := append([]byte(nil), b...)
+			c[4] = 2
+			return c
+		}},
 		{"empty", func(b []byte) []byte { return nil }},
 	}
 	for _, tc := range corruptions {
@@ -127,7 +151,7 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 			if err := os.WriteFile(p, tc.mut(good), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, ok := st.LoadTrace(key, prog, emu.Config{}); ok {
+			if _, _, ok := loadMapped(t, st, key, prog, emu.Config{}); ok {
 				t.Fatal("corrupt file served as a hit")
 			}
 			cc := st.counters()
@@ -140,13 +164,18 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 			if _, err := os.Stat(p + ".corrupt"); err != nil {
 				t.Fatalf("corrupt file not quarantined: %v", err)
 			}
-			// The key is not poisoned: a rebuild writes through and serves.
-			if err := st.SaveTrace(key, tr, nil); err != nil {
+			// The key is not poisoned: a re-recording writes through and is
+			// served from the mmap tier.
+			fresh, err := emu.Record(prog, emu.Config{})
+			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotAux, ok := st.LoadTrace(key, prog, emu.Config{})
+			if err := st.SaveTrace(key, fresh, nil); err != nil {
+				t.Fatal(err)
+			}
+			got, gotAux, ok := loadMapped(t, st, key, prog, emu.Config{})
 			if !ok {
-				t.Fatal("rebuilt trace not served")
+				t.Fatal("re-recorded trace not served")
 			}
 			requireSame(t, tr, got, nil, gotAux)
 		})
@@ -176,7 +205,7 @@ func TestStoreAttachAuxPerWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []emu.AuxSection{{Tag: 8, Data: []byte("narrow")}, {Tag: 16, Data: []byte("wide")}}
-	got, gotAux, ok := st.LoadTrace(key, prog, emu.Config{})
+	got, gotAux, ok := loadMapped(t, st, key, prog, emu.Config{})
 	if !ok {
 		t.Fatal("trace with attached aux not served")
 	}
@@ -187,7 +216,7 @@ func TestStoreAttachAuxPerWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	want[1].Data = []byte("wider")
-	got, gotAux, ok = st.LoadTrace(key, prog, emu.Config{})
+	got, gotAux, ok = loadMapped(t, st, key, prog, emu.Config{})
 	if !ok {
 		t.Fatal("trace not served after re-attach")
 	}
@@ -198,7 +227,7 @@ func TestStoreAttachAuxPerWidth(t *testing.T) {
 	if err := st.AttachAux(key2, tr, emu.AuxSection{Tag: 8, Data: []byte("solo")}); err != nil {
 		t.Fatal(err)
 	}
-	got, gotAux, ok = st.LoadTrace(key2, prog, emu.Config{})
+	got, gotAux, ok = loadMapped(t, st, key2, prog, emu.Config{})
 	if !ok {
 		t.Fatal("attach-to-missing-file trace not served")
 	}
@@ -220,7 +249,7 @@ func TestStoreRejectsMismatchedContent(t *testing.T) {
 	if err := st.SaveTrace(key, tr, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := st.LoadTrace(key, other, emu.Config{}); ok {
+	if _, _, ok := loadMapped(t, st, key, other, emu.Config{}); ok {
 		t.Fatal("trace served against the wrong program")
 	}
 	if cc := st.counters(); cc.Corruptions != 1 {
@@ -230,7 +259,7 @@ func TestStoreRejectsMismatchedContent(t *testing.T) {
 	if err := st.SaveTrace(key, tr, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := st.LoadTrace(key, prog, emu.Config{MaxOps: 12345}); ok {
+	if _, _, ok := loadMapped(t, st, key, prog, emu.Config{MaxOps: 12345}); ok {
 		t.Fatal("trace served under the wrong emulation budget")
 	}
 	if cc := st.counters(); cc.Corruptions != 2 {
@@ -328,8 +357,9 @@ func TestStoreConcurrentWriters(t *testing.T) {
 					t.Errorf("save: %v", err)
 					return
 				}
-				if got, gotAux, ok := st.LoadTrace(key, prog, emu.Config{}); ok {
-					requireSame(t, tr, got, nil, gotAux)
+				if m, ok := st.LoadTraceMapped(key, prog, emu.Config{}); ok {
+					requireSame(t, tr, m.Trace(), nil, m.Aux())
+					m.Release()
 				}
 			}
 		}()
@@ -341,7 +371,7 @@ func TestStoreConcurrentWriters(t *testing.T) {
 	if cc := st.counters(); cc.Corruptions != 0 {
 		t.Fatalf("counters = %+v, want no corruptions from racing writers", cc)
 	}
-	got, gotAux, ok := st.LoadTrace(key, prog, emu.Config{})
+	got, gotAux, ok := loadMapped(t, st, key, prog, emu.Config{})
 	if !ok {
 		t.Fatal("surviving file not served")
 	}
