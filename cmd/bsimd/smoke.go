@@ -93,14 +93,15 @@ func smokeBackendRequest(id, isaName string) *svc.SimRequest {
 	}
 }
 
-// smokePredRequest asks the predictor-sensitivity question over the same
-// program, so the daemon serves the grid from the already-cached trace.
+// smokePredRequest asks the predictor-sensitivity question (a sweep with a
+// history axis and no icache sizes) over the same program, so the daemon
+// serves the grid from the already-cached trace.
 func smokePredRequest(id string) *svc.SimRequest {
 	return &svc.SimRequest{
 		Version: svc.SchemaVersion,
 		ID:      id,
 		Program: svc.ProgramSpec{Workload: "compress", Scale: smokeScale, ISA: "conv"},
-		PredSweep: &svc.PredSweepSpec{
+		Sweep: &svc.SweepSpec{
 			HistoryBits: []int{2, 8, 16},
 			Base:        &svc.ConfigSpec{ICache: &svc.CacheSpec{SizeBytes: 8 * 1024, Ways: 4}},
 		},
@@ -183,8 +184,8 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 	logger.Info("smoke: service sweep matches direct path field-for-field",
 		"configs", len(want), "store_warm", storeWarm)
 
-	// 2. A predictor sweep over the same program: the fused predictor
-	// engine must serve it from the already-cached trace.
+	// 2. A predictor sweep over the same program: the unified sweep engine
+	// must serve it from the already-cached trace.
 	predGot, err := postSim(base, smokePredRequest("smoke-predsweep"))
 	if err != nil {
 		return err

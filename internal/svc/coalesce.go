@@ -73,13 +73,12 @@ func (c *coalescer) finish(key string, f *flight, out jobOutcome) {
 // answer and nothing that is per-request (ID, timeout).
 func coalesceKey(plan *Plan) string {
 	blob, err := json.Marshal(struct {
-		Program   ProgramSpec
-		MaxOps    int64
-		Configs   any
-		Segments  int
-		Sweep     bool
-		PredSweep bool
-	}{plan.Program, plan.EmuCfg.MaxOps, plan.Configs, plan.Segments, plan.Sweep, plan.PredSweep})
+		Program  ProgramSpec
+		MaxOps   int64
+		Configs  any
+		Segments int
+		Sweep    bool
+	}{plan.Program, plan.EmuCfg.MaxOps, plan.Configs, plan.Segments, plan.Sweep})
 	if err != nil {
 		// Plans contain only marshalable fields; this cannot happen.
 		panic(fmt.Sprintf("svc: coalesceKey: %v", err))

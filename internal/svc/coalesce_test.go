@@ -132,7 +132,7 @@ func TestBuildConfigSegments(t *testing.T) {
 		{"with sweep", &SimRequest{Version: SchemaVersion, Program: prog,
 			Sweep: &SweepSpec{ICacheSizes: []int{0, 2048}}, Segments: 4}, false},
 		{"with predsweep", &SimRequest{Version: SchemaVersion, Program: prog,
-			PredSweep: &PredSweepSpec{HistoryBits: []int{2, 8}}, Segments: 4}, false},
+			Sweep: &SweepSpec{HistoryBits: []int{2, 8}}, Segments: 4}, false},
 		{"single config", &SimRequest{Version: SchemaVersion, Program: prog,
 			Config: &ConfigSpec{}, Segments: 4}, true},
 	}

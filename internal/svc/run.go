@@ -69,9 +69,6 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	if plan.Sweep {
 		resp.Experiment = "sweep"
 	}
-	if plan.PredSweep {
-		resp.Experiment = "predsweep"
-	}
 	if plan.Program.Workload != "" {
 		resp.Scale = plan.Program.Scale
 	}
@@ -280,17 +277,6 @@ func buildProgram(plan *Plan) (*builtProgram, error) {
 // renderTable renders the human-oriented table for a service response,
 // mirroring bsim's sweep output columns.
 func renderTable(plan *Plan, results []SimResult) *Table {
-	if plan.PredSweep {
-		t := &stats.Table{
-			Title:   fmt.Sprintf("Predictor sweep (%s)", plan.Program.ISA),
-			Columns: []string{"Predictor", "Cycles", "IPC", "Mispredicts"},
-		}
-		for _, r := range results {
-			t.AddRow(predictorLabel(r.Predictor), r.Cycles, r.IPC,
-				r.TrapMispredicts+r.FaultMispredicts+r.Misfetches)
-		}
-		return TableOf(t)
-	}
 	multiAxis := plan.Sweep && plan.Predictors != nil
 	t := &stats.Table{
 		Columns: []string{"ICache", "Cycles", "IPC", "ICMiss%", "Mispredicts"},

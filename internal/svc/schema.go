@@ -20,13 +20,13 @@ import (
 
 // SchemaVersion is the request/response schema this package speaks. Requests
 // must carry it in their "version" field; responses echo it. Bump it only
-// with a migration note in DESIGN.md §8.
-const SchemaVersion = 1
+// with a migration note in DESIGN.md §8. Version 2 removed the deprecated
+// pred_sweep request (a sweep with predictor axes asks the same question).
+const SchemaVersion = 2
 
 // SimRequest is one simulation job. Exactly one program source (source,
-// seed, or workload) and exactly one of Config (single timing run), Sweep
-// (icache sensitivity sweep), or PredSweep (branch-predictor sensitivity
-// sweep) must be set.
+// seed, or workload) and exactly one of Config (single timing run) or Sweep
+// (a grid over icache sizes and predictor axes) must be set.
 type SimRequest struct {
 	// Version must equal SchemaVersion.
 	Version int `json:"version"`
@@ -40,17 +40,14 @@ type SimRequest struct {
 	EmuMaxOps int64 `json:"emu_max_ops,omitempty"`
 	// Config runs a single timing simulation.
 	Config *ConfigSpec `json:"config,omitempty"`
-	// Sweep runs an icache sensitivity sweep (Figure 6/7 style).
+	// Sweep runs a grid over icache sizes and predictor axes: a Figure 6/7
+	// icache sweep, a predictor-sensitivity sweep, or their cross product.
 	Sweep *SweepSpec `json:"sweep,omitempty"`
-	// PredSweep runs a branch-predictor sensitivity sweep over the cross
-	// product of its axes (schema-additive; older clients never see it).
-	PredSweep *PredSweepSpec `json:"pred_sweep,omitempty"`
 	// Segments, on a single-Config run, asks the segment-parallel replay
 	// engine to split the trace into this many checkpointed segments (0 =
 	// auto-sized from the server's per-job worker budget). Results are
 	// field-for-field identical at every segment count; the knob only trades
-	// latency. Schema-additive: only valid with Config, rejected with Sweep
-	// or PredSweep.
+	// latency. Schema-additive: only valid with Config, rejected with Sweep.
 	Segments int `json:"segments,omitempty"`
 	// TimeoutMs, when positive, caps the job's wall time; the job's context
 	// is canceled at the deadline (subject to the server's own ceiling).
@@ -147,31 +144,6 @@ type SweepSpec struct {
 	Base *ConfigSpec `json:"base,omitempty"`
 }
 
-// PredSweepSpec requests one timing result per branch-predictor point over a
-// shared base machine: the cross product of its axes, in axis-major order
-// (history outermost, then PHT entries, then BTB sets). An empty axis keeps
-// the base configuration's value for that knob, so a single-axis sweep is
-// just {"history_bits": [2, 4, 8]}. A zero in an axis selects the paper's
-// default for that knob.
-//
-// Deprecated: pred_sweep is a proper subset of Sweep (a SweepSpec with no
-// icache_sizes). It is still accepted and answers identically — requests are
-// normalized onto the unified sweep path internally — but new clients should
-// send "sweep" with predictor axes instead.
-type PredSweepSpec struct {
-	// HistoryBits sweeps the branch-history register length consumed by the
-	// PHT index (0..32).
-	HistoryBits []int `json:"history_bits,omitempty"`
-	// PHTEntries sweeps the pattern-history-table size (powers of two).
-	PHTEntries []int `json:"pht_entries,omitempty"`
-	// BTBSets sweeps the branch-target-buffer set count (powers of two).
-	BTBSets []int `json:"btb_sets,omitempty"`
-	// Base carries every non-swept knob, including the icache geometry and
-	// fixed predictor fields such as BTB ways or RAS depth (nil = the
-	// paper's machine).
-	Base *ConfigSpec `json:"base,omitempty"`
-}
-
 // SimResponse is the service's response envelope, also emitted by
 // `bsbench -json` for BENCH_<experiment>.json artifacts so both surfaces
 // share one schema.
@@ -251,9 +223,8 @@ type CacheStatsJSON struct {
 // field-for-field against bsim/bsbench output.
 type SimResult struct {
 	ICacheBytes int `json:"icache_bytes"` // 0 = perfect
-	// Predictor echoes the configuration's predictor point on predictor
-	// sweeps and on multi-axis sweeps that set a predictor axis (nil
-	// elsewhere; schema-additive).
+	// Predictor echoes the configuration's predictor point on sweeps that
+	// set a predictor axis (nil elsewhere; schema-additive).
 	Predictor *PredictorSpec `json:"predictor,omitempty"`
 
 	Cycles int64   `json:"cycles"`

@@ -14,11 +14,11 @@ func TestDecodeRequestStrict(t *testing.T) {
 		body string
 		want error // nil means the decode must succeed
 	}{
-		{"minimal sim", `{"version":1,"program":{"seed":7,"isa":"conv"},"config":{}}`, nil},
-		{"minimal sweep", `{"version":1,"program":{"workload":"compress","isa":"bsa"},"sweep":{"icache_sizes":[0,8192]}}`, nil},
-		{"unknown top-level field", `{"version":1,"prorgam":{}}`, ErrBadRequest},
-		{"unknown nested field", `{"version":1,"program":{"isa":"conv","sede":7}}`, ErrBadRequest},
-		{"trailing data", `{"version":1,"program":{"seed":7,"isa":"conv"},"config":{}} {"x":1}`, ErrBadRequest},
+		{"minimal sim", `{"version":2,"program":{"seed":7,"isa":"conv"},"config":{}}`, nil},
+		{"minimal sweep", `{"version":2,"program":{"workload":"compress","isa":"bsa"},"sweep":{"icache_sizes":[0,8192]}}`, nil},
+		{"unknown top-level field", `{"version":2,"prorgam":{}}`, ErrBadRequest},
+		{"unknown nested field", `{"version":2,"program":{"isa":"conv","sede":7}}`, ErrBadRequest},
+		{"trailing data", `{"version":2,"program":{"seed":7,"isa":"conv"},"config":{}} {"x":1}`, ErrBadRequest},
 		{"missing version", `{"program":{"seed":7,"isa":"conv"},"config":{}}`, ErrBadVersion},
 		{"future version", `{"version":99,"program":{"seed":7,"isa":"conv"},"config":{}}`, ErrBadVersion},
 		{"not json", `hello`, ErrBadRequest},
@@ -63,7 +63,7 @@ func TestBuildConfigTypedErrors(t *testing.T) {
 		want   error
 	}{
 		{"ok", nil, nil},
-		{"wrong version", func(r *SimRequest) { r.Version = 2 }, ErrBadVersion},
+		{"wrong version", func(r *SimRequest) { r.Version = 1 }, ErrBadVersion},
 		{"no program source", func(r *SimRequest) { r.Program.Seed = nil }, ErrBadProgram},
 		{"two program sources", func(r *SimRequest) { r.Program.Workload = "compress" }, ErrBadProgram},
 		{"unknown workload", func(r *SimRequest) {
@@ -105,30 +105,32 @@ func TestBuildConfigTypedErrors(t *testing.T) {
 			r.Config = nil
 			r.Sweep = &SweepSpec{HistoryBits: []int{-2}, ICacheSizes: []int{8192}}
 		}, ErrBadSweep},
+		// Predictor-only sweeps: a SweepSpec with predictor axes and no
+		// icache sizes.
 		{"both config and pred sweep", func(r *SimRequest) {
-			r.PredSweep = &PredSweepSpec{HistoryBits: []int{2, 4}}
+			r.Sweep = &SweepSpec{HistoryBits: []int{2, 4}}
 		}, ErrBadRequest},
 		{"pred sweep with no axis", func(r *SimRequest) {
 			r.Config = nil
-			r.PredSweep = &PredSweepSpec{}
+			r.Sweep = &SweepSpec{Base: &ConfigSpec{Predictor: &PredictorSpec{HistoryBits: 4}}}
 		}, ErrBadSweep},
 		{"negative pred sweep axis", func(r *SimRequest) {
 			r.Config = nil
-			r.PredSweep = &PredSweepSpec{HistoryBits: []int{-2}}
+			r.Sweep = &SweepSpec{PHTEntries: []int{-2}}
 		}, ErrBadSweep},
 		{"pred sweep history beyond BHR", func(r *SimRequest) {
 			r.Config = nil
-			r.PredSweep = &PredSweepSpec{HistoryBits: []int{40}}
+			r.Sweep = &SweepSpec{HistoryBits: []int{40}}
 		}, ErrBadSweep},
 		{"pred sweep non-power-of-two PHT", func(r *SimRequest) {
 			r.Config = nil
-			r.PredSweep = &PredSweepSpec{PHTEntries: []int{3000}}
+			r.Sweep = &SweepSpec{PHTEntries: []int{3000}}
 		}, ErrBadSweep},
 		{"pred sweep over perfect prediction", func(r *SimRequest) {
 			r.Config = nil
-			r.PredSweep = &PredSweepSpec{
-				HistoryBits: []int{2, 4},
-				Base:        &ConfigSpec{PerfectBP: true},
+			r.Sweep = &SweepSpec{
+				BTBSets: []int{256, 512},
+				Base:    &ConfigSpec{PerfectBP: true},
 			}
 		}, ErrBadSweep},
 	}
@@ -198,12 +200,13 @@ func TestBuildConfigNormalization(t *testing.T) {
 }
 
 func TestBuildConfigPredSweep(t *testing.T) {
-	// The grid is the cross product of the axes in axis-major order, over
-	// the shared base machine; unset axes keep the base's value.
+	// A predictor-only sweep (no icache sizes) is the cross product of the
+	// predictor axes in axis-major order, over the shared base machine;
+	// unset axes keep the base's value.
 	p, err := BuildConfig(&SimRequest{
 		Version: SchemaVersion,
 		Program: ProgramSpec{Workload: "compress", ISA: "bsa"},
-		PredSweep: &PredSweepSpec{
+		Sweep: &SweepSpec{
 			HistoryBits: []int{4, 8},
 			PHTEntries:  []int{1024, 4096},
 			Base: &ConfigSpec{
@@ -215,7 +218,7 @@ func TestBuildConfigPredSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.PredSweep || p.Sweep {
+	if !p.Sweep {
 		t.Fatalf("plan flags wrong: %+v", p)
 	}
 	if len(p.Configs) != 4 || len(p.Predictors) != 4 {
@@ -268,7 +271,7 @@ func TestBuildConfigMultiAxisSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Sweep || p.PredSweep {
+	if !p.Sweep {
 		t.Fatalf("plan flags wrong: %+v", p)
 	}
 	if len(p.Configs) != 4 || len(p.Predictors) != 4 || len(p.ICacheBytes) != 4 {

@@ -144,10 +144,10 @@ func TestServerMatchesLibraryPath(t *testing.T) {
 	}
 }
 
-// TestServerPredictorSweep answers a predictor-sensitivity sweep over HTTP
-// and requires (a) the fused predictor-sweep engine served it, and (b) every
-// result is field-for-field identical to the direct library path, for both
-// ISAs.
+// TestServerPredictorSweep answers a predictor-sensitivity sweep (a sweep
+// with predictor axes and no icache sizes) over HTTP and requires (a) the
+// unified sweep engine served it, and (b) every result is field-for-field
+// identical to the direct library path, for both ISAs.
 func TestServerPredictorSweep(t *testing.T) {
 	_, ts := testServer(t, quietConfig())
 	seed := int64(42)
@@ -156,7 +156,7 @@ func TestServerPredictorSweep(t *testing.T) {
 		req := &SimRequest{
 			Version: SchemaVersion,
 			Program: ProgramSpec{Seed: &seed, ISA: isaName},
-			PredSweep: &PredSweepSpec{
+			Sweep: &SweepSpec{
 				HistoryBits: []int{2, 8, 16},
 				PHTEntries:  []int{1024, 8192},
 				Base:        &ConfigSpec{ICache: &CacheSpec{SizeBytes: 2048, Ways: 4}},
@@ -166,7 +166,7 @@ func TestServerPredictorSweep(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", isaName, status, resp.Error)
 		}
-		if resp.Experiment != "predsweep" {
+		if resp.Experiment != "sweep" {
 			t.Fatalf("%s: experiment %q", isaName, resp.Experiment)
 		}
 		if resp.Engine != "sweep" {
@@ -227,10 +227,10 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		name string
 		body string
 	}{
-		{"unknown field", `{"version":1,"bogus":1}`},
+		{"unknown field", `{"version":2,"bogus":1}`},
 		{"wrong version", `{"version":9,"program":{"seed":1,"isa":"conv"},"config":{}}`},
-		{"bad geometry", `{"version":1,"program":{"seed":1,"isa":"conv"},"config":{"icache":{"size_bytes":3000}}}`},
-		{"no engine selected", `{"version":1,"program":{"seed":1,"isa":"conv"}}`},
+		{"bad geometry", `{"version":2,"program":{"seed":1,"isa":"conv"},"config":{"icache":{"size_bytes":3000}}}`},
+		{"no engine selected", `{"version":2,"program":{"seed":1,"isa":"conv"}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
