@@ -242,22 +242,6 @@ func BenchmarkTraceReplay(b *testing.B) {
 	b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "ops/s")
 }
 
-// sweepBenchGrid is a dense icache sensitivity sweep at reference geometry:
-// a perfect-icache baseline plus every power-of-two size from 1KB to 64KB
-// (the Figure 6/7 sizes and their surrounding octaves), all sharing one
-// recorded trace. Dense grids are the fused engine's natural workload — the
-// stack-distance profiler prices every extra power-of-two size at one cheap
-// timing lane.
-func sweepBenchGrid() []uarch.Config {
-	cfgs := []uarch.Config{{}}
-	for sz := 1024; sz <= 65536; sz *= 2 {
-		var cfg uarch.Config
-		cfg.ICache.SizeBytes = sz
-		cfgs = append(cfgs, cfg)
-	}
-	return cfgs
-}
-
 func sweepBenchTrace(b *testing.B) *emu.Trace {
 	b.Helper()
 	prog, err := compile.Compile(liSource(), "li", compile.DefaultOptions(isa.Conventional))
@@ -271,116 +255,29 @@ func sweepBenchTrace(b *testing.B) *emu.Trace {
 	return tr
 }
 
-// BenchmarkICacheSweepLegacy times the pre-fusion icache sweep: one full
-// trace replay per configuration via SimulateMany.
-func BenchmarkICacheSweepLegacy(b *testing.B) {
+// BenchmarkGridSweep times every grid-speed preset (the bsbench sweepspeed,
+// predsweep and xsweep grids) both ways over one recorded trace: per-config
+// replay (one full trace walk per configuration via SimulateMany) and the
+// unified sweep engine (one enrichment replay feeding a timing lane per
+// configuration). -benchmem also pins the per-call allocation profile —
+// sweep lane scratch comes from the geometry-keyed pool, so steady-state
+// calls must not scale allocations with trace length.
+func BenchmarkGridSweep(b *testing.B) {
 	tr := sweepBenchTrace(b)
-	cfgs := sweepBenchGrid()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := uarch.SimulateMany(tr, cfgs, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkICacheSweepFused times the unified engine on the identical grid:
-// one enriched decode pass shared by all sweep points, then per-config
-// timing lanes.
-func BenchmarkICacheSweepFused(b *testing.B) {
-	tr := sweepBenchTrace(b)
-	cfgs := sweepBenchGrid()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := uarch.Sweep(tr, cfgs, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// predBenchGrid is the 8-point predictor history sweep from the predsweep
-// experiment: one configuration per history length over the reference
-// machine with a 32KB icache, all sharing one recorded trace.
-func predBenchGrid() []uarch.Config {
-	var cfgs []uarch.Config
-	for _, hb := range []int{1, 2, 4, 6, 8, 10, 12, 16} {
-		var cfg uarch.Config
-		cfg.ICache.SizeBytes = 32 * 1024
-		cfg.Predictor.HistoryBits = hb
-		cfgs = append(cfgs, cfg)
-	}
-	return cfgs
-}
-
-// BenchmarkPredSweepLegacy times the pre-fusion predictor sweep: one full
-// trace replay per configuration via SimulateMany.
-func BenchmarkPredSweepLegacy(b *testing.B) {
-	tr := sweepBenchTrace(b)
-	cfgs := predBenchGrid()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := uarch.SimulateMany(tr, cfgs, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPredSweepFused times the unified engine on the identical
-// predictor grid: one enriched decode pass with a predictor bank evaluating
-// every history length per control event, then per-config timing lanes.
-func BenchmarkPredSweepFused(b *testing.B) {
-	tr := sweepBenchTrace(b)
-	cfgs := predBenchGrid()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := uarch.Sweep(tr, cfgs, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// xsweepBenchGrid is the acceptance grid for the unified engine: four
-// branch-history lengths crossed with four icache sizes, sixteen lanes off
-// one enrichment replay.
-func xsweepBenchGrid() []uarch.Config {
-	var cfgs []uarch.Config
-	for _, hb := range []int{4, 8, 12, 16} {
-		for sz := 4096; sz <= 32768; sz *= 2 {
-			var cfg uarch.Config
-			cfg.ICache.SizeBytes = sz
-			cfg.Predictor.HistoryBits = hb
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	return cfgs
-}
-
-// BenchmarkXSweepLegacy times the 4x4 history x icache cross product the
-// pre-fusion way: one full trace replay per grid point.
-func BenchmarkXSweepLegacy(b *testing.B) {
-	tr := sweepBenchTrace(b)
-	cfgs := xsweepBenchGrid()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := uarch.SimulateMany(tr, cfgs, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkXSweepFused times the unified multi-axis engine on the identical
-// cross product: one enrichment replay feeding all sixteen lanes. -benchmem
-// also pins the per-call allocation profile — lane scratch comes from the
-// geometry-keyed pool, so steady-state calls must not scale allocations
-// with trace length.
-func BenchmarkXSweepFused(b *testing.B) {
-	tr := sweepBenchTrace(b)
-	cfgs := xsweepBenchGrid()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := uarch.Sweep(tr, cfgs, 0); err != nil {
-			b.Fatal(err)
+	for _, p := range harness.GridPresets() {
+		cfgs := p.Grid()
+		for _, eng := range []struct {
+			name string
+			run  func(*emu.Trace, []uarch.Config, int) ([]*uarch.Result, error)
+		}{{"per-config", uarch.SimulateMany}, {"sweep", uarch.Sweep}} {
+			b.Run(p.Name+"/"+eng.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := eng.run(tr, cfgs, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -8,8 +8,9 @@
 //
 // Experiments: table1 table2 fig3 fig4 fig5 fig6 fig7 headtohead mispredicts
 // ablate-size ablate-faults ablate-superblock ablate-history ablate-minbias
-// sweepspeed segspeed predsweep xsweep predsens tracestore mmapreplay
-// summary all (default: the paper's tables and figures).
+// sweepspeed segspeed predsweep xsweep predsens mmapreplay summary all
+// (default: the paper's tables and figures). sweepspeed, predsweep and
+// xsweep are the grid-speed presets (harness.GridPresets).
 //
 // -json additionally writes each experiment's results to BENCH_<name>.json
 // using the same versioned svc.SimResponse envelope the bsimd service
@@ -84,7 +85,7 @@ func main() {
 	extra := []string{"mispredicts", "ablate-size", "ablate-faults", "ablate-superblock",
 		"ablate-history", "ablate-minbias", "ablate-tracecache", "ablate-ifconvert",
 		"ablate-inline", "ablate-hotlayout", "ablate-multiblock", "sweepspeed", "segspeed",
-		"predsweep", "xsweep", "predsens", "tracestore", "mmapreplay", "summary"}
+		"predsweep", "xsweep", "predsens", "mmapreplay", "summary"}
 
 	var names []string
 	switch *exps {
@@ -172,24 +173,18 @@ func run(h *harness.Harness, name string) (*stats.Table, error) {
 		return h.AblateProfileLayout()
 	case "ablate-multiblock":
 		return h.AblateMultiBlock()
-	case "sweepspeed":
-		return h.SweepSpeed()
+	case "sweepspeed", "predsweep", "xsweep":
+		return h.GridSpeed(name)
 	case "segspeed":
 		return h.SegSpeed()
-	case "predsweep":
-		return h.PredSweepSpeed()
-	case "xsweep":
-		return h.XSweepSpeed()
 	case "predsens":
 		return h.PredictorSensitivity()
-	case "tracestore":
-		return h.TraceStoreSpeed()
 	case "mmapreplay":
 		return h.MmapReplaySpeed()
 	case "summary":
 		return h.Summary()
 	default:
-		return nil, fmt.Errorf("unknown experiment (try table1 table2 fig3..fig7 headtohead mispredicts ablate-* sweepspeed segspeed predsweep xsweep predsens tracestore mmapreplay summary)")
+		return nil, fmt.Errorf("unknown experiment (try table1 table2 fig3..fig7 headtohead mispredicts ablate-* sweepspeed segspeed predsweep xsweep predsens mmapreplay summary)")
 	}
 }
 
