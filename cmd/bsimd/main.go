@@ -36,10 +36,11 @@
 // allocation). Mapping traffic and resident bytes appear as
 // bsimd_store_mmap_events_total and bsimd_store_mmap_resident_bytes.
 // Corrupt or truncated files, and files in a superseded format version,
-// are detected at validation, quarantined aside as *.corrupt, and rebuilt. -store-max-bytes caps the directory's total
-// *.bstr size: after each write the least-recently-used files (by atime)
-// are evicted until the cap holds, never touching a file an in-flight
-// replay still has mapped (evictions count on bsimd_store_events_total).
+// are detected at validation, quarantined aside as *.corrupt, and
+// rebuilt. -store-max-bytes caps the directory's total *.bstr size: after
+// each write the least-recently-used files (by atime) are evicted until
+// the cap holds, never touching a file an in-flight replay still has
+// mapped (evictions count on bsimd_store_events_total).
 //
 // -smoke runs the self-check the CI service-smoke stage uses: it starts a
 // server on an ephemeral port (pool shape pinned: one worker, four job

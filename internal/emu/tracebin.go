@@ -80,7 +80,8 @@ func (t *Trace) Encode(w io.Writer, aux []AuxSection) error {
 	return err
 }
 
-// appendTraceResult appends the tail's result encoding: a presence uvarint, then stats, output, and return value as varints.
+// appendTraceResult appends the tail's result encoding: a presence
+// uvarint, then stats, output, and return value as varints.
 func appendTraceResult(buf []byte, res *Result) []byte {
 	if res == nil {
 		return binary.AppendUvarint(buf, 0)
@@ -97,7 +98,8 @@ func appendTraceResult(buf []byte, res *Result) []byte {
 	return binary.AppendVarint(buf, res.ReturnValue)
 }
 
-// appendTraceAux appends the tail's aux-section encoding: a section count, then per section tag · length · bytes.
+// appendTraceAux appends the tail's aux-section encoding: a section count,
+// then per section tag · length · bytes.
 func appendTraceAux(buf []byte, aux []AuxSection) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(aux)))
 	for _, s := range aux {

@@ -20,8 +20,7 @@ import (
 
 // SchemaVersion is the request/response schema this package speaks. Requests
 // must carry it in their "version" field; responses echo it. Bump it only
-// with a migration note in DESIGN.md §8. Version 2 removed the deprecated
-// pred_sweep request (a sweep with predictor axes asks the same question).
+// with a migration note in DESIGN.md §8.
 const SchemaVersion = 2
 
 // SimRequest is one simulation job. Exactly one program source (source,
