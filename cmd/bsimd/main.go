@@ -18,13 +18,15 @@
 //	GET  /metrics       Prometheus text format
 //	     /debug/pprof/  runtime profiling
 //
-// Single-config requests may carry a "segments" hint; when the config
-// qualifies and -job-workers leaves lanes to spend, the job runs on the
-// segment-parallel replay engine (engine "replay-segmented") with its queue
-// depth and per-segment latency exported on /metrics. Concurrent identical
-// requests coalesce onto one simulation pass; followers are answered from
-// the leader's envelope with "coalesced": true and counted in
-// bsimd_coalesced_requests_total.
+// A single config on a sweepable ISA runs as a one-lane sweep (engine
+// "sweep"), like a grid. Single-config requests may carry a "segments"
+// field; when the config qualifies and -job-workers leaves lanes to spend,
+// the job runs on the segment-parallel replay engine (engine
+// "replay-segmented") instead, with its queue depth and per-segment latency
+// exported on /metrics. Without segments that engine is never used.
+// Concurrent identical requests coalesce onto one simulation pass; followers
+// are answered from the leader's envelope with "coalesced": true and counted
+// in bsimd_coalesced_requests_total.
 //
 // -store DIR layers a persistent content-addressed trace store under the
 // in-memory caches: recorded traces (and their predecoded op tables) are

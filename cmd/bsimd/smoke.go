@@ -40,8 +40,9 @@ func smokeRequest(id string) *svc.SimRequest {
 }
 
 // smokeSegRequest is a single-config question with an explicit segment hint:
-// the service must route it through the segment-parallel replay engine and
-// still answer field-for-field what the sequential engine answers.
+// the service must route it through the segment-parallel replay engine (the
+// only way to reach it) and still answer field-for-field what the
+// sequential engine answers.
 func smokeSegRequest(id string) *svc.SimRequest {
 	return &svc.SimRequest{
 		Version:  svc.SchemaVersion,
@@ -110,7 +111,8 @@ func smokePredRequest(id string) *svc.SimRequest {
 
 // runSmoke is the CI service-smoke stage: equivalence against the direct
 // library path for the unified sweep engine (icache, predictor, and
-// multi-axis grids) and the segment-parallel engine,
+// multi-axis grids, and a one-lane single config) and the segment-parallel
+// engine,
 // then a 32-way concurrent identical load that must coalesce onto one pass,
 // with the cache hits, coalesced count, and segment metrics checked on
 // /metrics — and finally a restart against the same trace store, which must
@@ -268,6 +270,23 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 	}
 	logger.Info("smoke: segmented replay matches sequential replay field-for-field")
 
+	// 3a. The same config without segments runs as a one-lane sweep, with
+	// the same answer.
+	laneReq := smokeSegRequest("smoke-one-lane")
+	laneReq.Segments = 0
+	laneGot, err := postSim(base, laneReq)
+	if err != nil {
+		return err
+	}
+	if laneGot.Engine != "sweep" {
+		return fmt.Errorf("service routed the single-config job through %q, want a one-lane sweep", laneGot.Engine)
+	}
+	if len(laneGot.Results) != 1 || laneGot.Results[0] != *segWant {
+		return fmt.Errorf("one-lane sweep diverges from the sequential path\nservice: %+v\ndirect:  %+v",
+			laneGot.Results, *segWant)
+	}
+	logger.Info("smoke: one-lane sweep matches sequential replay field-for-field")
+
 	// 3b. Four-way head-to-head over HTTP: every registered ISA backend must
 	// answer the same single-config question, matching the direct library
 	// pipeline (compile → shaping pass → record → replay) field-for-field.
@@ -391,8 +410,9 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 		{`bsimd_artifact_cache_events_total{cache="program",event="hit"}`, 2},
 		// The unified sweep stage absorbs every grid shape: the phase-1
 		// icache sweep, the predictor sweep, the multi-axis cross product,
-		// the occupier, and the coalesce leader.
-		{`bsimd_stage_seconds_count{stage="sweep"}`, 5},
+		// the one-lane single config, the conv and bsa backend runs, the
+		// occupier, and the coalesce leader.
+		{`bsimd_stage_seconds_count{stage="sweep"}`, 8},
 		{`bsimd_stage_seconds_count{stage="segreplay"}`, 1},
 		{`bsimd_segments_completed_total`, 1},
 	} {

@@ -15,13 +15,15 @@ import (
 // host actually has.
 var segSpeedWorkers = []int{1, 2, 4, 8}
 
-// SegSpeed times single-configuration replay both ways — the sequential
-// engine (uarch.ReplayTrace) versus the segment-parallel engine
-// (uarch.ReplayTraceSegmented) at 1/2/4/8 workers — over every benchmark and
-// both ISAs at the Figure-3 machine, verifying on the way that every
-// segmented result is field-for-field identical to the sequential one. Like
+// SegSpeed times single-configuration replay three ways — the sequential
+// engine (uarch.ReplayTrace), a one-lane uarch.Sweep (the route the harness
+// and the service take for a lone configuration), and the segment-parallel
+// engine (uarch.ReplayTraceSegmented) at 1/2/4/8 workers — over every
+// benchmark and both ISAs at the Figure-3 machine, verifying on the way that
+// every result is field-for-field identical to the sequential one. Like
 // GridSpeed it bypasses the result memo: every cell is real simulation
-// work, so the table is the perf trajectory record for the segmented path.
+// work, so the table is the data the keep-or-delete decision on segmented
+// replay rests on.
 //
 // The speedup ceiling is the host's core count: the segmented engine adds a
 // warm checkpoint pass (~25-30% of a sequential replay) plus a boundary
@@ -29,20 +31,21 @@ var segSpeedWorkers = []int{1, 2, 4, 8}
 // honest number — the engine exists for multi-core hosts, and the table's
 // note records how many cores this run actually had).
 func (h *Harness) SegSpeed() (*stats.Table, error) {
-	cols := []string{"Benchmark", "ISA", "Events", "Seq (ms)"}
+	cols := []string{"Benchmark", "ISA", "Events", "Seq (ms)", "1-lane (ms)"}
 	for _, w := range segSpeedWorkers {
 		cols = append(cols, fmt.Sprintf("%dw (ms)", w))
 	}
 	t := &stats.Table{
-		Title:   "Segment-parallel replay: sequential vs segmented by worker count",
+		Title:   "Single-config replay: sequential vs one-lane sweep vs segmented by worker count",
 		Columns: cols,
 		Note: fmt.Sprintf("Per-cell: wall ms (speedup vs sequential). Host has %d CPU core(s); "+
-			"speedup is bounded by cores, and 1 worker is the documented sequential fallback. "+
-			"Every segmented result verified field-for-field identical to the sequential engine.",
+			"segmented speedup is bounded by cores, and 1 worker is the documented sequential fallback. "+
+			"The one-lane sweep runs on one goroutine. "+
+			"Every result verified field-for-field identical to the sequential engine.",
 			runtime.NumCPU()),
 	}
 	cfg := baseConfig(LargeICache, false)
-	seqTotal := time.Duration(0)
+	var seqTotal, laneTotal time.Duration
 	segTotal := make([]time.Duration, len(segSpeedWorkers))
 	for _, b := range h.Benches {
 		for _, side := range []struct {
@@ -64,7 +67,18 @@ func (h *Harness) SegSpeed() (*stats.Table, error) {
 			}
 			seqMs := time.Since(start)
 			seqTotal += seqMs
-			row := []any{b.Profile.Name, side.tag, tr.NumEvents(), seqMs.Milliseconds()}
+			start = time.Now()
+			lane, err := uarch.Sweep(tr, []uarch.Config{cfg}, 1)
+			if err != nil {
+				return nil, err
+			}
+			laneMs := time.Since(start)
+			if *lane[0] != *want {
+				return nil, fmt.Errorf("harness: segspeed: %s/%s: one-lane sweep diverges:\nsweep:      %+v\nsequential: %+v",
+					b.Profile.Name, side.tag, *lane[0], *want)
+			}
+			laneTotal += laneMs
+			row := []any{b.Profile.Name, side.tag, tr.NumEvents(), seqMs.Milliseconds(), segCell(seqMs, laneMs)}
 			for wi, workers := range segSpeedWorkers {
 				start = time.Now()
 				got, err := uarch.ReplayTraceSegmented(tr, cfg, uarch.SegmentOptions{Workers: workers})
@@ -82,7 +96,7 @@ func (h *Harness) SegSpeed() (*stats.Table, error) {
 			t.AddRow(row...)
 		}
 	}
-	totalRow := []any{"TOTAL", "", "", seqTotal.Milliseconds()}
+	totalRow := []any{"TOTAL", "", "", seqTotal.Milliseconds(), segCell(seqTotal, laneTotal)}
 	for wi := range segSpeedWorkers {
 		totalRow = append(totalRow, segCell(seqTotal, segTotal[wi]))
 	}
@@ -90,7 +104,7 @@ func (h *Harness) SegSpeed() (*stats.Table, error) {
 	return t, nil
 }
 
-// segCell renders one segmented measurement as "ms (speedup-x)".
+// segCell renders one measurement as "ms (speedup-x)" against sequential.
 func segCell(seq, seg time.Duration) string {
 	return fmt.Sprintf("%d (%.2fx)", seg.Milliseconds(), float64(seq)/float64(seg))
 }

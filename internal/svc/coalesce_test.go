@@ -156,8 +156,10 @@ func TestBuildConfigSegments(t *testing.T) {
 }
 
 // TestServerSegmentedEngine gives the server engine workers to spend and
-// requires a single-config job to route through the segment-parallel engine
-// with the answer field-for-field identical to sequential replay.
+// requires a single-config job that asks for segments to route through the
+// segment-parallel engine, with the answer field-for-field identical to
+// sequential replay, and the same job without segments to run as a one-lane
+// sweep with the same answer.
 func TestServerSegmentedEngine(t *testing.T) {
 	cfg := quietConfig()
 	cfg.JobWorkers = 4
@@ -202,6 +204,21 @@ func TestServerSegmentedEngine(t *testing.T) {
 	}
 	if got := s.metrics.segQueued.Load(); got != 0 {
 		t.Fatalf("segment queue depth %d after the job drained, want 0", got)
+	}
+
+	// Without segments the same config is a one-lane sweep.
+	single := *req
+	single.Segments = 0
+	status, resp = post(t, ts, &single)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, resp.Error)
+	}
+	if resp.Engine != engineSweep {
+		t.Fatalf("engine %q without segments, want %q", resp.Engine, engineSweep)
+	}
+	if len(resp.Results) != 1 || resp.Results[0] != ResultOf(plan.ICacheBytes[0], want) {
+		t.Fatalf("one-lane sweep diverges from sequential replay:\nservice: %+v\ndirect:  %+v",
+			resp.Results, ResultOf(plan.ICacheBytes[0], want))
 	}
 
 	// Configs the segment engine cannot serve fall back to per-config replay

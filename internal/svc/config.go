@@ -36,7 +36,7 @@ type Plan struct {
 	// renders a sweep table).
 	Sweep bool
 	// Segments is the requested segment count for the segment-parallel
-	// replay engine (single-Config plans only; 0 = auto).
+	// replay engine (single-Config plans only; 0 = not requested).
 	Segments int
 	// Timeout is the requested per-job deadline (0 = server default).
 	Timeout time.Duration

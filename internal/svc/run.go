@@ -58,10 +58,12 @@ func (ct *cachedTrace) zeroCopy() bool { return ct.mapped != nil && ct.mapped.Ze
 
 // execute runs one job end to end: program (cached) → trace (cached) →
 // timing engine, with the same routing rule as the CLI tools — the unified
-// multi-axis sweep engine whenever the config batch qualifies, per-config
-// replay otherwise — so service answers are field-for-field identical to
-// CLI answers. The returned error (also recorded in the envelope's Error
-// field) classifies the failure for the HTTP layer.
+// multi-axis sweep engine whenever the config batch qualifies (a single
+// config included), per-config replay otherwise, and segment-parallel
+// replay only when the request asks for segments — so service answers are
+// field-for-field identical to CLI answers. The returned error (also
+// recorded in the envelope's Error field) classifies the failure for the
+// HTTP layer.
 func (s *Server) execute(j *job) (*SimResponse, error) {
 	start := time.Now()
 	plan := j.plan
@@ -102,6 +104,21 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	}
 	bp := pv.(*builtProgram)
 
+	// Timing engine: chosen before the trace is fetched, so a sweep job that
+	// records the trace can persist it together with its predecode. Segmented
+	// replay runs only on request, and only with workers to spend.
+	engine, stage := engineMany, stageReplay
+	sweepable, _ := uarch.CanSweep(plan.Configs)
+	switch {
+	case plan.Segments > 0 && uarch.CanSegment(plan.Configs[0]) && s.jobWorkers() > 1:
+		engine, stage = engineSegmented, stageSegReplay
+	case sweepable && uarch.CanSweepKind(plan.Kind()):
+		engine, stage = engineSweep, stageSweep
+	}
+	resp.Engine = engine
+	iw := plan.Configs[0].EffectiveIssueWidth()
+	var recordedPre *uarch.Predecoded // flattened alongside a fresh recording
+
 	// Trace artifact: record the committed stream once per program+budget. A
 	// configured store interposes on the miss path: load-and-validate from
 	// disk first (a hit skips the recording entirely), and write a fresh
@@ -122,7 +139,14 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 		}
 		s.metrics.traceRecords.Add(1)
 		if st := s.cfg.Store; st != nil {
-			if serr := st.SaveTrace(tKey, tr, nil); serr != nil {
+			// A sweep job writes its predecode into the same file: one
+			// fsynced write instead of a save followed by an aux attach.
+			var aux []emu.AuxSection
+			if engine == engineSweep {
+				recordedPre = uarch.Predecode(bp.prog, iw)
+				aux = []emu.AuxSection{{Tag: uint64(iw), Data: recordedPre.EncodeBytes()}}
+			}
+			if serr := st.SaveTrace(tKey, tr, aux); serr != nil {
 				s.cfg.Logger.Warn("trace store write failed", "key", tKey, "err", serr.Error())
 			}
 		}
@@ -138,32 +162,21 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	defer ct.unref()
 	tr := ct.tr
 
-	// Timing: same routing as harness.runMany / bsim -sweep-icache, plus the
-	// segment-parallel engine for single-config plans that qualify when the
-	// job has workers to spend (no sweep to fan out over).
-	engine, stage := engineMany, stageReplay
-	sweepable, _ := uarch.CanSweep(plan.Configs)
-	sweepable = sweepable && uarch.CanSweepKind(plan.Kind())
-	switch {
-	case len(plan.Configs) > 1 && sweepable:
-		engine, stage = engineSweep, stageSweep
-	case len(plan.Configs) == 1 && uarch.CanSegment(plan.Configs[0]) && s.jobWorkers() > 1:
-		engine, stage = engineSegmented, stageSegReplay
-	}
-	resp.Engine = engine
-
 	// Predecode artifact: the sweep engine flattens the program into
 	// per-lane op tables before walking the trace; share that flattening
 	// across requests (it depends only on program + issue width). With a
 	// store, the trace file carries one aux section per issue width across
-	// restarts: decode the matching section when present, and attach a
-	// freshly flattened table for this width otherwise (sections for other
-	// widths are preserved).
+	// restarts: reuse the table this job saved with its recording, decode
+	// the matching section when present, and attach a freshly flattened
+	// table for this width otherwise (sections for other widths are
+	// preserved).
 	var pre *uarch.Predecoded
 	preHit := false
 	if engine == engineSweep {
-		iw := plan.Configs[0].EffectiveIssueWidth()
 		prv, hit, perr := s.predecodes.do(predecodeKey(progKey, iw), func() (any, error) {
+			if recordedPre != nil {
+				return recordedPre, nil
+			}
 			for _, sec := range ct.aux {
 				if sec.Tag != uint64(iw) {
 					continue

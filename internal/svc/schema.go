@@ -43,9 +43,10 @@ type SimRequest struct {
 	// icache sweep, a predictor-sensitivity sweep, or their cross product.
 	Sweep *SweepSpec `json:"sweep,omitempty"`
 	// Segments, on a single-Config run, asks the segment-parallel replay
-	// engine to split the trace into this many checkpointed segments (0 =
-	// auto-sized from the server's per-job worker budget). Results are
-	// field-for-field identical at every segment count; the knob only trades
+	// engine to split the trace into this many checkpointed segments. It is
+	// the only way to reach that engine: 0 (or absent) runs the config as a
+	// one-lane sweep, or per-config replay where the sweep does not apply.
+	// Results are field-for-field identical either way; the knob only trades
 	// latency. Schema-additive: only valid with Config, rejected with Sweep.
 	Segments int `json:"segments,omitempty"`
 	// TimeoutMs, when positive, caps the job's wall time; the job's context
@@ -166,8 +167,9 @@ type SimResponse struct {
 	// (schema-additive; classify with it instead of parsing Error text).
 	ErrorCode string `json:"error_code,omitempty"`
 	// Engine reports which timing path ran: "sweep" (the unified multi-axis
-	// single-pass engine), "replay-segmented" (the segment-parallel
-	// single-config engine), or "simulate-many" (one replay per config).
+	// single-pass engine, a single config included), "replay-segmented"
+	// (the segment-parallel single-config engine, on request), or
+	// "simulate-many" (one replay per config).
 	Engine string `json:"engine,omitempty"`
 	// ArtifactCache reports whether this job reused a cached compiled
 	// program / recorded trace.

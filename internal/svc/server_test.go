@@ -24,8 +24,8 @@ import (
 func quietConfig() ServerConfig {
 	return ServerConfig{
 		Workers: 4,
-		// One engine worker per job pins single-config routing to the
-		// sequential engine regardless of the host's core count; the
+		// One engine worker per job keeps a request for segments on the
+		// sequential engines regardless of the host's core count; the
 		// segmented engine's routing is exercised separately.
 		JobWorkers: 1,
 		Logger:     slog.New(slog.NewTextHandler(io.Discard, nil)),
@@ -126,7 +126,7 @@ func TestServerMatchesLibraryPath(t *testing.T) {
 		}
 	}
 
-	// Single-config jobs route through per-config replay.
+	// Single-config jobs on a sweepable backend run as a one-lane sweep.
 	req := &SimRequest{
 		Version: SchemaVersion,
 		Program: ProgramSpec{Seed: &seed, ISA: "conv"},
@@ -136,8 +136,8 @@ func TestServerMatchesLibraryPath(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, resp.Error)
 	}
-	if resp.Engine != "simulate-many" {
-		t.Fatalf("engine %q, want simulate-many for a single config", resp.Engine)
+	if resp.Engine != "sweep" {
+		t.Fatalf("engine %q, want a one-lane sweep for a single config", resp.Engine)
 	}
 	if resp.Experiment != "sim" || len(resp.Results) != 1 {
 		t.Fatalf("envelope %+v", resp)

@@ -7,7 +7,9 @@ import (
 
 // This file is the timing side of the backend fetch policy
 // (backend.Policy): predictor selection lives in New, the BasicBlocker
-// serialization stall and the macro-op fusion pass live here.
+// serialization stall and the macro-op fusion patterns live here. Fusion is
+// a decode-time rewrite of static code, so predecode applies it
+// (flattenSweepProgram): each pair becomes one laneOp.
 
 // serializesFetch reports whether a terminator's transfer only resolves at
 // execute — conditionally (BR) or indirectly (JR, RET). Under
@@ -26,28 +28,10 @@ func serializesFetch(t *isa.Op) bool {
 	return false
 }
 
-// fusionPairs returns the indices at which a macro-op pair starts in b's
-// operation list (each pair spans ops i and i+1; pairs never overlap), or nil
-// when the policy does not fuse. Fusion is a decode-time rewrite of static
-// code, so the result is memoized per block.
-func (s *Sim) fusionPairs(b *isa.Block) []int {
-	if !s.policy.FuseMacroOps {
-		return nil
-	}
-	if p, ok := s.fuse[b.ID]; ok {
-		return p
-	}
-	p := fusePairs(b.Ops)
-	if s.fuse == nil {
-		s.fuse = map[isa.BlockID][]int{}
-	}
-	s.fuse[b.ID] = p
-	return p
-}
-
-// fusePairs greedily scans for adjacent dependent pairs matching the fusion
-// patterns. Greedy left-to-right matches the hardware: decode sees the ops in
-// order and fuses the first opportunity in each pair of slots.
+// fusePairs returns the indices at which a macro-op pair starts in ops (each
+// pair spans ops i and i+1; pairs never overlap). It scans greedily left to
+// right, matching the hardware: decode sees the ops in order and fuses the
+// first opportunity in each pair of slots.
 func fusePairs(ops []isa.Op) []int {
 	var pairs []int
 	for i := 0; i+1 < len(ops); i++ {

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
+	"bsisa/internal/backend"
 	"bsisa/internal/isa"
 )
 
@@ -19,34 +21,45 @@ import (
 // fresh Predecode.
 //
 // Layout: version u8 · issue width, block count (uvarint) · per block a
-// presence byte and, when present, addr/size/op count (uvarint) followed by
-// the raw 8-byte laneOps. fetchCycles is derived from the op count and issue
-// width on decode, exactly as flattenSweepProgram derives it.
+// presence byte and, when present, addr/size/op count/laneOp count (uvarint)
+// followed by the raw 8-byte laneOps. fetchCycles is derived from the op
+// count and issue width on decode, exactly as flattenSweepProgram derives it.
 
 // ErrBadPredecode is wrapped by every DecodePredecoded failure.
 var ErrBadPredecode = errors.New("uarch: bad predecode encoding")
 
-// Version 2: the laneOp register encoding became branchless — three
-// RegZero-padded read slots (no read count) and sink-padded write slots.
-// Version-1 blobs fail decode and rebuild through the normal quarantine
-// path.
-const predecodeVersion = 2
+// Version 3: macro-op pairs are fused into single laneOps, so each block
+// carries its laneOp count beside its architectural op count. Older blobs
+// fail decode and the service reflattens them.
+const predecodeVersion = 3
 
 // EncodeBytes serializes the predecoded tables.
 func (p *Predecoded) EncodeBytes() []byte {
-	buf := make([]byte, 0, int(p.Footprint()))
+	// Size the buffer exactly: the blob is written straight into a store
+	// file, so any slack is pure allocation.
+	size := 1 + uvarintLen(uint64(p.issueWidth)) + uvarintLen(uint64(len(p.lp)))
+	for i, b := range p.prog.Blocks {
+		size++
+		if b != nil {
+			n := len(p.lp[i].ops)
+			size += uvarintLen(uint64(b.Addr)) + uvarintLen(uint64(b.Size)) +
+				uvarintLen(uint64(len(b.Ops))) + uvarintLen(uint64(n)) + 8*n
+		}
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, predecodeVersion)
 	buf = binary.AppendUvarint(buf, uint64(p.issueWidth))
 	buf = binary.AppendUvarint(buf, uint64(len(p.lp)))
-	for i := range p.lp {
-		lb := &p.lp[i]
-		if lb.ops == nil {
+	for i, b := range p.prog.Blocks {
+		if b == nil {
 			buf = append(buf, 0)
 			continue
 		}
+		lb := &p.lp[i]
 		buf = append(buf, 1)
-		buf = binary.AppendUvarint(buf, uint64(lb.addr))
-		buf = binary.AppendUvarint(buf, uint64(lb.size))
+		buf = binary.AppendUvarint(buf, uint64(b.Addr))
+		buf = binary.AppendUvarint(buf, uint64(b.Size))
+		buf = binary.AppendUvarint(buf, uint64(lb.numOps))
 		buf = binary.AppendUvarint(buf, uint64(len(lb.ops)))
 		for _, op := range lb.ops {
 			// The packed word's little-endian bytes are exactly the wire
@@ -57,10 +70,14 @@ func (p *Predecoded) EncodeBytes() []byte {
 	return buf
 }
 
+// uvarintLen is the encoded length of v as a uvarint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
 // DecodePredecoded reconstructs predecoded tables for prog from one encoded
 // blob. The block structure is validated against prog — block count,
 // presence, layout address/size, and op count must all match — so a blob
-// written for a different program (or a stale layout) decodes to an error.
+// written for a different program (or a stale layout) decodes to an error,
+// and each block's laneOp count must match the backend's fusion of it.
 // The returned tables are exactly what Predecode(prog, issueWidth) builds.
 func DecodePredecoded(data []byte, prog *isa.Program) (*Predecoded, error) {
 	if prog == nil {
@@ -89,6 +106,7 @@ func DecodePredecoded(data []byte, prog *isa.Program) (*Predecoded, error) {
 		return nil, fmt.Errorf("%w: issue width %d", ErrBadPredecode, iw)
 	}
 	issueWidth := int(iw)
+	fuse := backend.PolicyFor(prog.Kind).FuseMacroOps
 	numBlocks, err := uvarint()
 	if err != nil {
 		return nil, err
@@ -128,23 +146,28 @@ func DecodePredecoded(data []byte, prog *isa.Program) (*Predecoded, error) {
 		if err != nil {
 			return nil, err
 		}
+		nLane, err := uvarint()
+		if err != nil {
+			return nil, err
+		}
 		if addr != uint64(b.Addr) || size != uint64(b.Size) || nOps != uint64(len(b.Ops)) {
 			return nil, fmt.Errorf("%w: B%d is %d ops at %d+%d in the tables, %d ops at %d+%d in the program",
 				ErrBadPredecode, id, nOps, addr, size, len(b.Ops), b.Addr, b.Size)
 		}
-		lb := &lp[id]
-		lb.addr = uint32(addr)
-		lb.size = uint32(size)
-		lb.numOps = int(nOps)
-		n := (int(nOps) + issueWidth - 1) / issueWidth
-		if n < 1 {
-			n = 1
+		wantLane := len(b.Ops)
+		if fuse {
+			wantLane -= len(fusePairs(b.Ops))
 		}
-		lb.fetchCycles = int64(n)
-		if pos+int(nOps)*8 > len(data) {
+		if nLane != uint64(wantLane) {
+			return nil, fmt.Errorf("%w: B%d has %d laneOps, fusion of the program gives %d", ErrBadPredecode, id, nLane, wantLane)
+		}
+		lb := &lp[id]
+		lb.numOps = int32(nOps)
+		lb.fetchCycles = fetchCyclesOf(int(nOps), issueWidth)
+		if pos+wantLane*8 > len(data) {
 			return nil, fmt.Errorf("%w: truncated op table for B%d", ErrBadPredecode, id)
 		}
-		lb.ops = make([]laneOp, nOps)
+		lb.ops = make([]laneOp, wantLane)
 		for j := range lb.ops {
 			v := binary.LittleEndian.Uint64(data[pos:])
 			pos += 8

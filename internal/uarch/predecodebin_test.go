@@ -27,15 +27,20 @@ func codecProg(t *testing.T, seed int64, kind isa.Kind) *isa.Program {
 }
 
 // TestPredecodedCodecRoundTrip requires DecodePredecoded(EncodeBytes()) to
-// rebuild tables deep-equal to a fresh Predecode, for both ISAs and a
-// non-default issue width — the equivalence that lets a store-loaded
-// predecode substitute for a freshly flattened one in the sweep engines.
+// rebuild tables deep-equal to a fresh Predecode, for both ISAs, the fused
+// backend's pair-folded tables and a non-default issue width — the
+// equivalence that lets a store-loaded predecode substitute for a freshly
+// flattened one. The encoder sizes its buffer exactly.
 func TestPredecodedCodecRoundTrip(t *testing.T) {
-	for _, kind := range []isa.Kind{isa.Conventional, isa.BlockStructured} {
+	for _, kind := range []isa.Kind{isa.Conventional, isa.BlockStructured, isa.MacroFused} {
 		for _, iw := range []int{0, 4} {
 			prog := codecProg(t, 8841, kind)
 			want := Predecode(prog, iw)
-			got, err := DecodePredecoded(want.EncodeBytes(), prog)
+			blob := want.EncodeBytes()
+			if len(blob) != cap(blob) {
+				t.Fatalf("kind %v iw %d: encoded %d bytes into a %d-byte buffer", kind, iw, len(blob), cap(blob))
+			}
+			got, err := DecodePredecoded(blob, prog)
 			if err != nil {
 				t.Fatalf("kind %v iw %d: %v", kind, iw, err)
 			}
@@ -59,6 +64,11 @@ func TestPredecodedCodecRejectsMismatch(t *testing.T) {
 
 	if _, err := DecodePredecoded(blob, bsa); !errors.Is(err, ErrBadPredecode) {
 		t.Fatalf("wrong program: err = %v, want ErrBadPredecode", err)
+	}
+	// The fused backend compiles the same blocks as conv, so only the
+	// folded pair counts tell the two tables apart.
+	if _, err := DecodePredecoded(blob, codecProg(t, 8842, isa.MacroFused)); !errors.Is(err, ErrBadPredecode) {
+		t.Fatalf("unfused tables for a fused program: err = %v, want ErrBadPredecode", err)
 	}
 	for _, n := range []int{0, 1, 3, len(blob) / 2, len(blob) - 1} {
 		if _, err := DecodePredecoded(blob[:n], conv); !errors.Is(err, ErrBadPredecode) {

@@ -23,7 +23,13 @@ func ReplayTrace(t *emu.Trace, cfg Config) (*Result, error) {
 // replay checks ctx between trace chunks and returns ctx.Err() promptly once
 // the context is done.
 func ReplayTraceContext(ctx context.Context, t *emu.Trace, cfg Config) (*Result, error) {
-	sim, err := New(t.Program(), cfg)
+	return replayContext(ctx, t, cfg, nil)
+}
+
+// replayContext is ReplayTraceContext over a shared predecode (nil flattens
+// fresh).
+func replayContext(ctx context.Context, t *emu.Trace, cfg Config, pre *Predecoded) (*Result, error) {
+	sim, err := newSim(t.Program(), cfg, pre)
 	if err != nil {
 		return nil, err
 	}
@@ -114,9 +120,25 @@ func SimulateMany(t *emu.Trace, cfgs []Config, workers int) ([]*Result, error) {
 // are dropped once ctx is done, and the call returns an error satisfying
 // errors.Is(err, ctx.Err()) with the worker pool fully drained.
 func SimulateManyContext(ctx context.Context, t *emu.Trace, cfgs []Config, workers int) ([]*Result, error) {
+	// One predecode per distinct issue width, shared by every simulator;
+	// widths past the first reuse its op arena.
+	prog := t.Program()
+	pres := map[int]*Predecoded{}
+	var first *Predecoded
+	for _, cfg := range cfgs {
+		iw := cfg.EffectiveIssueWidth()
+		switch {
+		case iw <= 0 || pres[iw] != nil:
+		case first == nil:
+			first = Predecode(prog, iw)
+			pres[iw] = first
+		default:
+			pres[iw] = &Predecoded{prog: prog, issueWidth: iw, lp: widthTables(prog, first.lp, iw)}
+		}
+	}
 	results := make([]*Result, len(cfgs))
 	err := fanOut(ctx, len(cfgs), workers, func(i int) error {
-		r, err := ReplayTraceContext(ctx, t, cfgs[i])
+		r, err := replayContext(ctx, t, cfgs[i], pres[cfgs[i].EffectiveIssueWidth()])
 		if err != nil {
 			return fmt.Errorf("uarch: config %d: %w", i, err)
 		}

@@ -172,6 +172,9 @@ func ReplayTraceSegmentedContext(ctx context.Context, t *emu.Trace, cfg Config, 
 		bounds[i] = i * n / segs
 	}
 
+	// Every lane and stitch replica schedules over one predecode.
+	pre := Predecode(t.Program(), cfg.EffectiveIssueWidth())
+
 	// Warm pass, concurrent with the lanes: ready[i] closes once ckpts[i]
 	// is captured, releasing lane i. Lane 0 needs no checkpoint.
 	ckpts := make([]archCheckpoint, segs)
@@ -220,7 +223,7 @@ func ReplayTraceSegmentedContext(ctx context.Context, t *emu.Trace, cfg Config, 
 			obs.SegmentStart()
 		}
 		start := time.Now()
-		l, err := runSegmentLane(ctx, t, cfg, bounds[i], bounds[i+1], ck, i == segs-1)
+		l, err := runSegmentLane(ctx, t, cfg, pre, bounds[i], bounds[i+1], ck, i == segs-1)
 		if err != nil {
 			return fmt.Errorf("uarch: segment %d: %w", i, err)
 		}
@@ -247,7 +250,7 @@ func ReplayTraceSegmentedContext(ctx context.Context, t *emu.Trace, cfg Config, 
 	res := lanes[0].res
 	front := lanes[0].front
 	for i := 1; i < segs; i++ {
-		fsw, rs, fsc, next, err := stitchSegment(ctx, t, cfg, bounds[i], bounds[i+1], &ckpts[i], &front, lanes[i])
+		fsw, rs, fsc, next, err := stitchSegment(ctx, t, cfg, pre, bounds[i], bounds[i+1], &ckpts[i], &front, lanes[i])
 		if err != nil {
 			return nil, fmt.Errorf("uarch: stitch at segment %d: %w", i, err)
 		}
@@ -384,8 +387,8 @@ func restoreCheckpoint(s *Sim, ck *archCheckpoint) error {
 // runSegmentLane replays events [lo, hi) through a fresh Sim restored from
 // ck (nil for the first segment), starting from the canonical empty timing
 // frontier.
-func runSegmentLane(ctx context.Context, t *emu.Trace, cfg Config, lo, hi int, ck *archCheckpoint, last bool) (*segLane, error) {
-	sim, err := New(t.Program(), cfg)
+func runSegmentLane(ctx context.Context, t *emu.Trace, cfg Config, pre *Predecoded, lo, hi int, ck *archCheckpoint, last bool) (*segLane, error) {
+	sim, err := newSim(t.Program(), cfg, pre)
 	if err != nil {
 		return nil, err
 	}
@@ -416,9 +419,9 @@ func runSegmentLane(ctx context.Context, t *emu.Trace, cfg Config, lo, hi int, c
 // FetchStallWindow, RecoveryStall and FetchStallControl contributions — the
 // three frontier-dependent stall counters — and the true frontier at hi. See
 // the package comment for the argument.
-func stitchSegment(ctx context.Context, t *emu.Trace, cfg Config, lo, hi int, ck *archCheckpoint, f *frontier, lane *segLane) (fsw, rs, fsc int64, out frontier, err error) {
+func stitchSegment(ctx context.Context, t *emu.Trace, cfg Config, pre *Predecoded, lo, hi int, ck *archCheckpoint, f *frontier, lane *segLane) (fsw, rs, fsc int64, out frontier, err error) {
 	mk := func() (*Sim, error) {
-		s, err := New(t.Program(), cfg)
+		s, err := newSim(t.Program(), cfg, pre)
 		if err != nil {
 			return nil, err
 		}
@@ -476,24 +479,25 @@ type frontier struct {
 	cycle      int64
 	nextFetch  int64
 	lastRetire int64
-	regReady   [isa.NumRegs]int64
-	win        []windowEntry // live in-flight blocks, oldest first
+	regReady   [isa.NumRegs]int64 // the architectural prefix of the lane register table
+	win        []windowEntry      // live in-flight blocks, oldest first
 	winOps     int
 	fuBase     int64
-	fuCounts   []int32 // FU busy counts for cycles [fuBase, fuBase+len)
+	fuCounts   []uint8 // FU busy counts for cycles [fuBase, fuBase+len)
 }
 
 // captureFrontier copies s's timing state out. The result shares nothing
 // with the Sim.
 func captureFrontier(s *Sim) frontier {
+	r := &s.scr.ring
 	f := frontier{
 		cycle:      s.cycle,
 		nextFetch:  s.nextFetch,
 		lastRetire: s.lastRetire,
-		regReady:   s.regReady,
 		winOps:     s.winOps,
-		fuBase:     s.fu.base,
+		fuBase:     r.base,
 	}
+	copy(f.regReady[:], s.scr.regs[:isa.NumRegs])
 	f.win = make([]windowEntry, s.winLen)
 	for k := 0; k < s.winLen; k++ {
 		i := s.winHead + k
@@ -502,7 +506,6 @@ func captureFrontier(s *Sim) frontier {
 		}
 		f.win[k] = s.win[i]
 	}
-	r := &s.fu
 	last := int64(-1)
 	for c := r.base; c < r.base+int64(len(r.counts)); c++ {
 		if r.counts[c&r.mask] != 0 {
@@ -510,7 +513,7 @@ func captureFrontier(s *Sim) frontier {
 		}
 	}
 	if last >= 0 {
-		f.fuCounts = make([]int32, last-r.base+1)
+		f.fuCounts = make([]uint8, last-r.base+1)
 		for c := r.base; c <= last; c++ {
 			f.fuCounts[c-r.base] = r.counts[c&r.mask]
 		}
@@ -526,7 +529,11 @@ func (f *frontier) shift(d int64) {
 	f.lastRetire += d
 	f.fuBase += d
 	for i := range f.regReady {
-		f.regReady[i] += d
+		// RegZero's slot is never written and must stay zero: the lane
+		// kernel reads it for every unused source slot.
+		if i != int(isa.RegZero) {
+			f.regReady[i] += d
+		}
 	}
 	for i := range f.win {
 		f.win[i].retire += d
@@ -537,10 +544,10 @@ func (f *frontier) shift(d int64) {
 // canonical zero state).
 func restoreFrontier(s *Sim, f *frontier) {
 	s.cycle, s.nextFetch, s.lastRetire = f.cycle, f.nextFetch, f.lastRetire
-	s.regReady = f.regReady
+	copy(s.scr.regs[:isa.NumRegs], f.regReady[:])
 	s.winHead, s.winLen, s.winOps = 0, len(f.win), f.winOps
 	copy(s.win, f.win)
-	r := &s.fu
+	r := &s.scr.ring
 	r.base = f.fuBase
 	if n := int64(len(f.fuCounts)); n > 0 {
 		if n > int64(len(r.counts)) {
@@ -564,7 +571,7 @@ func normCycle(x, base int64) int64 {
 
 // fuCountAt reads the FU busy count at an absolute cycle, treating cycles
 // outside the ring's live span as free.
-func fuCountAt(r *fuRing, c int64) int32 {
+func fuCountAt(r *laneRing, c int64) uint8 {
 	if c < r.base || c-r.base >= int64(len(r.counts)) {
 		return 0
 	}
@@ -629,18 +636,19 @@ func frontiersConverge(a, b *Sim) bool {
 		}
 	}
 	for r := 0; r < isa.NumRegs; r++ {
-		if normCycle(a.regReady[r], ba) != normCycle(b.regReady[r], bb) {
+		if normCycle(a.scr.regs[r], ba) != normCycle(b.scr.regs[r], bb) {
 			return false
 		}
 	}
-	spanA := a.fu.base + int64(len(a.fu.counts)) - ba
-	spanB := b.fu.base + int64(len(b.fu.counts)) - bb
+	ra, rb := &a.scr.ring, &b.scr.ring
+	spanA := ra.base + int64(len(ra.counts)) - ba
+	spanB := rb.base + int64(len(rb.counts)) - bb
 	span := spanA
 	if spanB > span {
 		span = spanB
 	}
 	for o := int64(0); o < span; o++ {
-		if fuCountAt(&a.fu, ba+o) != fuCountAt(&b.fu, bb+o) {
+		if fuCountAt(ra, ba+o) != fuCountAt(rb, bb+o) {
 			return false
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 
+	"bsisa/internal/backend"
 	"bsisa/internal/bpred"
 	"bsisa/internal/cache"
 	"bsisa/internal/emu"
@@ -50,17 +51,15 @@ import (
 // same configuration (sweep_test.go enforces this exhaustively against
 // SimulateMany, including cross-axis grids and per-axis marginals).
 
-// laneOp is a predecoded operation: exactly the fields laneSchedule needs,
-// packed to eight bytes so a block's operation table stays dense in cache
-// (lat fits a byte because Table 1 latencies top out at 8 cycles). The
-// register encoding makes the scheduling loop branchless: unused read slots
-// are padded with isa.RegZero, whose ready slot is never written, and unused
-// write slots point at laneRegSink, which is never read — so every op does
-// exactly three ready-table reads and two writes, no count checks.
-// laneOp packs one predecoded operation into a single word so the scheduling
-// loop extracts fields with shifts instead of memory round-trips (byte order,
-// low to high: r0, r1, r2, w1, w2, flags, lat, unused). Source slots pad with
-// RegZero, destination slots with laneRegSink.
+// laneOp is a predecoded operation — or a fused macro-op pair — holding
+// exactly the fields laneSchedule needs, packed into one word so the
+// scheduling loop extracts them with shifts (byte order, low to high: r0,
+// r1, r2, w1, w2, flags, lat, unused; lat fits a byte because Table 1
+// latencies top out at 8 cycles). The register encoding makes the loop
+// branchless: unused read slots are padded with isa.RegZero, whose ready slot
+// is never written, and unused write slots point at laneRegSink, which is
+// never read — so every op does exactly three ready-table reads and two
+// writes, no count checks.
 type laneOp uint64
 
 func packLaneOp(r0, r1, r2, w1, w2, flags, lat uint8) laneOp {
@@ -89,20 +88,22 @@ const laneRegsUsed = isa.NumRegs + 1
 type laneRegs [256]int64
 
 // laneBlock is a predecoded block, indexed by BlockID in a laneProg slice.
-// addr/size carry the block's layout footprint for the predecode codec and
-// the enrichment passes.
+// numOps is the block's architectural operation count; len(ops) is its
+// window and FU footprint, smaller by one per macro-op pair fused at decode.
+// The struct is kept small because tables cover every static block, most of
+// which a short trace never executes.
 type laneBlock struct {
 	ops         []laneOp
-	numOps      int
-	fetchCycles int64
-	addr        uint32
-	size        uint32
+	numOps      int32
+	fetchCycles int32
 }
 
-// flattenSweepProgram predecodes every block once for all lanes. The op
-// tables of all blocks live in one arena allocation so lane walks stream
-// through contiguous memory instead of chasing per-block slices.
+// flattenSweepProgram predecodes every block once. The op tables of all
+// blocks live in one arena allocation so lane walks stream through
+// contiguous memory instead of chasing per-block slices. Under a fusing
+// backend policy each macro-op pair (fusePairs) becomes one laneOp.
 func flattenSweepProgram(prog *isa.Program, issueWidth int) []laneBlock {
+	fuse := backend.PolicyFor(prog.Kind).FuseMacroOps
 	lp := make([]laneBlock, len(prog.Blocks))
 	total := 0
 	for _, b := range prog.Blocks {
@@ -110,52 +111,86 @@ func flattenSweepProgram(prog *isa.Program, issueWidth int) []laneBlock {
 			total += len(b.Ops)
 		}
 	}
-	arena := make([]laneOp, total)
-	off := 0
+	arena := make([]laneOp, 0, total)
 	for id, b := range prog.Blocks {
 		if b == nil {
 			continue
 		}
 		lb := &lp[id]
-		lb.numOps = len(b.Ops)
-		lb.addr = b.Addr
-		lb.size = b.Size
-		n := (len(b.Ops) + issueWidth - 1) / issueWidth
-		if n < 1 {
-			n = 1
+		lb.numOps = int32(len(b.Ops))
+		lb.fetchCycles = fetchCyclesOf(len(b.Ops), issueWidth)
+		var pairs []int
+		if fuse {
+			pairs = fusePairs(b.Ops)
 		}
-		lb.fetchCycles = int64(n)
-		lb.ops = arena[off : off+len(b.Ops) : off+len(b.Ops)]
-		off += len(b.Ops)
-		for i := range b.Ops {
-			op := &b.Ops[i]
-			reads, nr := op.ReadRegs()
-			var rs [3]uint8
-			for k := 0; k < nr; k++ {
-				rs[k] = uint8(reads[k])
+		off := len(arena)
+		for i := 0; i < len(b.Ops); i++ {
+			if len(pairs) > 0 && pairs[0] == i {
+				arena = append(arena, laneOpOf(&b.Ops[i], &b.Ops[i+1]))
+				pairs = pairs[1:]
+				i++
+				continue
 			}
-			w1, w2 := uint8(laneRegSink), uint8(laneRegSink)
-			if rd, ok := op.Writes(); ok && rd != isa.RegZero {
-				w1 = uint8(rd)
-			}
-			if op.Opcode == isa.CALL {
-				w2 = uint8(isa.RegLR)
-			}
-			var flags uint8
-			if op.Opcode == isa.LD {
-				flags |= laneLD
-			}
-			if op.Opcode.IsBlockEnd() {
-				flags |= laneTerm
-			}
-			if op.Opcode == isa.FAULT {
-				flags |= laneFault
-			}
-			lb.ops[i] = packLaneOp(rs[0], rs[1], rs[2], w1, w2, flags,
-				uint8(op.Opcode.Latency()))
+			arena = append(arena, laneOpOf(&b.Ops[i], nil))
 		}
+		lb.ops = arena[off:len(arena):len(arena)]
 	}
 	return lp
+}
+
+// fetchCyclesOf is how many cycles fetching a block of n operations takes
+// (long conventional basic blocks stream over several cycles).
+func fetchCyclesOf(n, issueWidth int) int32 {
+	return int32(max((n+issueWidth-1)/issueWidth, 1))
+}
+
+// laneOpOf predecodes op a, or the macro-op pair (a, b) when b is non-nil.
+// A pair issues as one operation: it reads a's sources and b's except a's
+// destination (the fused datapath forwards it internally), writes both
+// destinations, takes the slower half's latency, and carries b's load and
+// terminator flags. The fusion patterns read at most two registers per pair
+// (see fusible), so the three read slots always suffice.
+func laneOpOf(a, b *isa.Op) laneOp {
+	var rs [3]uint8
+	n := 0
+	reads, nr := a.ReadRegs()
+	for k := 0; k < nr; k++ {
+		rs[n] = uint8(reads[k])
+		n++
+	}
+	w1, w2 := uint8(laneRegSink), uint8(laneRegSink)
+	rd1, ok := a.Writes()
+	if ok && rd1 != isa.RegZero {
+		w1 = uint8(rd1)
+	}
+	last, lat := a, a.Opcode.Latency()
+	if b != nil {
+		reads, nr = b.ReadRegs()
+		for k := 0; k < nr; k++ {
+			if reads[k] != rd1 {
+				rs[n] = uint8(reads[k])
+				n++
+			}
+		}
+		if rd, ok := b.Writes(); ok && rd != isa.RegZero {
+			w2 = uint8(rd)
+		}
+		last, lat = b, max(lat, b.Opcode.Latency())
+	}
+	if last.Opcode == isa.CALL {
+		w2 = uint8(isa.RegLR)
+	}
+	var flags uint8
+	if last.Opcode == isa.LD {
+		flags |= laneLD
+	}
+	if last.Opcode.IsBlockEnd() {
+		flags |= laneTerm
+	}
+	if last.Opcode == isa.FAULT {
+		flags |= laneFault
+	}
+	return packLaneOp(rs[0], rs[1], rs[2], w1, w2, flags, uint8(lat))
 }
 
 // widthTables returns a block table with fetchCycles recomputed for a
@@ -164,14 +199,9 @@ func flattenSweepProgram(prog *isa.Program, issueWidth int) []laneBlock {
 func widthTables(prog *isa.Program, base []laneBlock, issueWidth int) []laneBlock {
 	lp := append([]laneBlock(nil), base...)
 	for id, b := range prog.Blocks {
-		if b == nil {
-			continue
+		if b != nil {
+			lp[id].fetchCycles = fetchCyclesOf(len(b.Ops), issueWidth)
 		}
-		n := (len(b.Ops) + issueWidth - 1) / issueWidth
-		if n < 1 {
-			n = 1
-		}
-		lp[id].fetchCycles = int64(n)
 	}
 	return lp
 }
@@ -246,10 +276,13 @@ type sweepEnrich struct {
 	poll [][]isa.BlockID
 }
 
-// laneRing is a lane's functional-unit scoreboard: the same ring arithmetic
-// as fuRing with byte-sized counts, so the rings of a whole lockstep lane
-// group stay L1-resident together. Byte counts are safe because a slot's
-// count never exceeds NumFUs, which sweepCheck bounds at 255.
+// laneRing is the functional-unit scoreboard: a power-of-two ring of
+// per-cycle busy counts with a sliding base. The scheduler only ever claims
+// cycles in a bounded window at or after the current fetch cycle, so the
+// ring covers every access without hashing. Counts are bytes, so the rings
+// of a whole lockstep lane group stay L1-resident together; that is safe
+// because a slot's count never exceeds NumFUs, which Config.Validate bounds
+// at 255.
 type laneRing struct {
 	counts []uint8
 	mask   int64
@@ -257,15 +290,18 @@ type laneRing struct {
 }
 
 func newLaneRing() laneRing {
-	// Power of two; grows on demand, mirroring fuRing. The initial size is
-	// deliberately small: a lane only needs to span the latencies in flight
-	// (tens of cycles — grow handles the rare deep stall), and a whole
-	// lockstep group's rings must stay L1-resident together, so every
-	// kilobyte here is multiplied by the lane count.
+	// Power of two; grows on demand. The initial size is deliberately
+	// small: a lane only needs to span the latencies in flight (tens of
+	// cycles — grow handles the rare deep stall), and a whole lockstep
+	// group's rings must stay L1-resident together, so every kilobyte here
+	// is multiplied by the lane count.
 	const size = 256
 	return laneRing{counts: make([]uint8, size), mask: size - 1}
 }
 
+// advance slides the window start to cycle, clearing vacated slots. Cycles
+// before the current fetch cycle can never be claimed again (operations
+// issue strictly after fetch), so their counts are dead.
 func (r *laneRing) advance(cycle int64) {
 	n := cycle - r.base
 	if n <= 0 {
@@ -293,6 +329,7 @@ func (r *laneRing) advance(cycle int64) {
 	r.base = cycle
 }
 
+// grow doubles the ring until cycle fits, re-placing live counts.
 func (r *laneRing) grow(cycle int64) {
 	n := len(r.counts)
 	for int64(n) <= cycle-r.base {
@@ -306,9 +343,10 @@ func (r *laneRing) grow(cycle int64) {
 	r.counts, r.mask = nc, nm
 }
 
-// laneScratch is the mutable per-lane working set — FU ring, register-ready
-// tables, window ring — pooled across sweeps (keyed by window geometry) so
-// repeated daemon sweeps stop re-allocating it.
+// laneScratch is the mutable scheduling working set — FU ring,
+// register-ready tables, window ring. Sweep lanes pool it across sweeps
+// (keyed by window geometry) so repeated daemon sweeps stop re-allocating
+// it.
 type laneScratch struct {
 	ring   laneRing
 	regs   laneRegs
@@ -331,6 +369,13 @@ func getLaneScratch(windowBlocks int) *laneScratch {
 		s.reset()
 		return s
 	}
+	return newLaneScratch(windowBlocks)
+}
+
+func newLaneScratch(windowBlocks int) *laneScratch {
+	// The pop-before-push discipline in drainWindow keeps at most
+	// windowBlocks entries in flight; one spare slot keeps the ring
+	// arithmetic simple.
 	return &laneScratch{
 		ring: newLaneRing(),
 		win:  make([]windowEntry, windowBlocks+1),
@@ -358,12 +403,9 @@ func (s *laneScratch) reset() {
 type sweepLane struct {
 	sh       *sweepShared
 	cls      *sweepClass
-	lp       []laneBlock
 	fm       []uint8
 	wm       []uint8
-	scr      *laneScratch
 	level    int    // profiler level of this config's icache size; -1 = perfect
-	ldOff    int    // cursor into sh.ldHit
 	mpOff    int    // cursor into cls.mpEv/mpKind
 	faultOff int    // cursor into cls.faultBlock / wm
 	nextMp   uint32 // cls.mpEv[mpOff], or sweepNoMp when exhausted
@@ -394,8 +436,10 @@ func enrichSweepA(ctx context.Context, t *emu.Trace, base Config, classCfgs []bp
 	lineCnt := make([]int64, len(prog.Blocks))
 	// Most blocks touch no memory; precompute which do (one pass over the
 	// static program) so the dynamic handler skips the per-op scan for the
-	// rest.
+	// rest, and count each block's loads so the load-outcome stream is
+	// allocated once at its exact size.
 	hasMem := make([]bool, len(prog.Blocks))
+	loads := make([]int32, len(prog.Blocks))
 	maxOps := 0
 	for id, b := range prog.Blocks {
 		if b == nil {
@@ -407,12 +451,19 @@ func enrichSweepA(ctx context.Context, t *emu.Trace, base Config, classCfgs []bp
 		}
 		lineCnt[id] = int64((b.Addr+sz-1)>>shift - b.Addr>>shift + 1)
 		for i := range b.Ops {
-			if op := b.Ops[i].Opcode; op == isa.LD || op == isa.ST {
+			switch b.Ops[i].Opcode {
+			case isa.LD:
+				loads[id]++
 				hasMem[id] = true
-				break
+			case isa.ST:
+				hasMem[id] = true
 			}
 		}
 		maxOps = max(maxOps, len(b.Ops))
+	}
+	totalLoads := 0
+	for _, id := range t.BlockIDs() {
+		totalLoads += int(loads[id])
 	}
 
 	en := &sweepEnrich{
@@ -421,9 +472,9 @@ func enrichSweepA(ctx context.Context, t *emu.Trace, base Config, classCfgs []bp
 	}
 	sh := en.sh
 	// Shadow scheduling passes read this zeroed miss table: wrong-path loads
-	// assume L1 hits, exactly like scheduleOps. One extra byte keeps the
-	// cursor in bounds for ops past a block's last load.
-	sh.noMiss = make([]uint8, maxOps+1)
+	// assume L1 hits.
+	sh.noMiss = make([]uint8, maxOps)
+	sh.ldMiss = make([]uint8, 0, totalLoads)
 	var commitLines int64
 	pollLines := make([]int64, len(classes))
 	ei := 0
@@ -494,9 +545,6 @@ func enrichSweepA(ctx context.Context, t *emu.Trace, base Config, classCfgs []bp
 	if err != nil {
 		return nil, err
 	}
-	// Non-load ops read (and mask off) the byte at the cursor, so ops after
-	// the trace's final load need one sentinel byte to stay in bounds.
-	sh.ldMiss = append(sh.ldMiss, 0)
 	sh.dcStats = dc.Stats()
 	for c, cls := range classes {
 		cls.accesses = commitLines + pollLines[c]
@@ -580,8 +628,7 @@ type laneFlagState struct {
 
 // flagged applies a flagged op's extra scheduling: L2 latency on a missing
 // load, terminator and first-fault completion times. Shadow passes wire the
-// zeroed miss table in, so wrong-path loads assume L1 hits exactly like
-// scheduleOps.
+// zeroed miss table in, so wrong-path loads assume L1 hits.
 //
 //go:noinline
 func (fs *laneFlagState) flagged(flags uint8, done int64) int64 {
@@ -600,15 +647,18 @@ func (fs *laneFlagState) flagged(flags uint8, done int64) int64 {
 	return done
 }
 
-// laneSchedule is scheduleOps for a lane: identical dataflow/FU arithmetic
-// over the predecoded operation table, with dcache outcomes read from the
-// shared pass instead of a live cache.
+// laneSchedule is the timing kernel every engine runs: it issues a
+// predecoded block through rename, dataflow and the FU pool starting at
+// issue, against the register-ready table regs. A commit pass charges L2
+// latency to loads from the ldMiss stream at ldOff (and advances the
+// cursor); a shadow (wrong-path) pass reads the all-hit noMiss table and
+// only consumes FU slots.
 func (s *Sim) laneSchedule(lb *laneBlock, issue int64, regs *laneRegs, commit bool) schedTimes {
-	// The FU ring allocation (allocFU) is inlined with the ring state held in
-	// locals: this loop runs once per operation per lane and dominates sweep
-	// time. grow is the only call that moves counts; advance (which moves
-	// base) never runs mid-block.
-	r := &s.sw.scr.ring
+	// The FU claim is inlined with the ring state held in locals: this loop
+	// runs once per operation and dominates simulation time. grow is the
+	// only call that moves counts; advance (which moves base) never runs
+	// mid-block.
+	r := &s.scr.ring
 	base, counts := r.base, r.counts
 	if len(counts) == 0 {
 		return schedTimes{done: issue, term: issue + 1} // unreachable: newLaneRing allocates
@@ -616,10 +666,10 @@ func (s *Sim) laneSchedule(lb *laneBlock, issue int64, regs *laneRegs, commit bo
 	// mask mirrors len(counts)-1 so ready&mask provably stays in bounds.
 	mask := uint64(len(counts)) - 1
 	limit := uint8(s.cfg.NumFUs)
-	fs := laneFlagState{l2: int64(s.cfg.L2Latency), term: issue + 1, ldMiss: s.sw.sh.noMiss}
+	fs := laneFlagState{l2: int64(s.cfg.L2Latency), term: issue + 1, ldMiss: s.noMiss}
 	if commit {
-		fs.ldMiss = s.sw.sh.ldMiss
-		fs.ldOff = s.sw.ldOff
+		fs.ldMiss = s.ldMiss
+		fs.ldOff = s.ldOff
 	}
 	stDone := issue
 	for _, op := range lb.ops {
@@ -628,9 +678,8 @@ func (s *Sim) laneSchedule(lb *laneBlock, issue int64, regs *laneRegs, commit bo
 		// conditional moves — these compares are data-dependent, so branches
 		// here would mispredict constantly.
 		ready := max(issue, regs[op&0xff], regs[(op>>8)&0xff], regs[(op>>16)&0xff])
-		// No ready < base clamp is needed here (unlike allocFU): ready starts
-		// at issue, which is at or past the fetch cycle the ring base was
-		// advanced to.
+		// No ready < base clamp is needed: ready starts at issue, which is at
+		// or past the fetch cycle the ring base was advanced to.
 		for {
 			if uint64(ready-base) > mask {
 				r.grow(ready)
@@ -658,7 +707,7 @@ func (s *Sim) laneSchedule(lb *laneBlock, issue int64, regs *laneRegs, commit bo
 		stDone = max(stDone, done)
 	}
 	if commit {
-		s.sw.ldOff = fs.ldOff
+		s.ldOff = fs.ldOff
 	}
 	return schedTimes{done: stDone, term: fs.term, firstFault: fs.firstFault}
 }
@@ -670,8 +719,8 @@ func (s *Sim) laneSchedule(lb *laneBlock, issue int64, regs *laneRegs, commit bo
 // store-to-load chain. Results are bit-identical to two laneSchedule calls:
 // the lanes touch disjoint state except the read-only shared streams.
 func laneSchedule2(sa, sb *Sim, lb *laneBlock, issueA, issueB int64) (schedTimes, schedTimes) {
-	ra, rb := &sa.sw.scr.ring, &sb.sw.scr.ring
-	regsA, regsB := &sa.sw.scr.regs, &sb.sw.scr.regs
+	ra, rb := &sa.scr.ring, &sb.scr.ring
+	regsA, regsB := &sa.scr.regs, &sb.scr.regs
 	baseA, countsA := ra.base, ra.counts
 	baseB, countsB := rb.base, rb.counts
 	if len(countsA) == 0 || len(countsB) == 0 {
@@ -682,8 +731,8 @@ func laneSchedule2(sa, sb *Sim, lb *laneBlock, issueA, issueB int64) (schedTimes
 	maskB := uint64(len(countsB)) - 1
 	limitA := uint8(sa.cfg.NumFUs)
 	limitB := uint8(sb.cfg.NumFUs)
-	fsA := laneFlagState{l2: int64(sa.cfg.L2Latency), term: issueA + 1, ldMiss: sa.sw.sh.ldMiss, ldOff: sa.sw.ldOff}
-	fsB := laneFlagState{l2: int64(sb.cfg.L2Latency), term: issueB + 1, ldMiss: sb.sw.sh.ldMiss, ldOff: sb.sw.ldOff}
+	fsA := laneFlagState{l2: int64(sa.cfg.L2Latency), term: issueA + 1, ldMiss: sa.ldMiss, ldOff: sa.ldOff}
+	fsB := laneFlagState{l2: int64(sb.cfg.L2Latency), term: issueB + 1, ldMiss: sb.ldMiss, ldOff: sb.ldOff}
 	stDoneA, stDoneB := issueA, issueB
 	for _, op := range lb.ops {
 		readyA := max(issueA, regsA[op&0xff], regsA[(op>>8)&0xff], regsA[(op>>16)&0xff])
@@ -732,8 +781,8 @@ func laneSchedule2(sa, sb *Sim, lb *laneBlock, issueA, issueB int64) (schedTimes
 		stDoneA = max(stDoneA, doneA)
 		stDoneB = max(stDoneB, doneB)
 	}
-	sa.sw.ldOff = fsA.ldOff
-	sb.sw.ldOff = fsB.ldOff
+	sa.ldOff = fsA.ldOff
+	sb.ldOff = fsB.ldOff
 	return schedTimes{done: stDoneA, term: fsA.term, firstFault: fsA.firstFault},
 		schedTimes{done: stDoneB, term: fsB.term, firstFault: fsB.firstFault}
 }
@@ -754,9 +803,7 @@ func (s *Sim) sweepRecover(kind uint8, trapResolve, issue int64) (int64, bool) {
 		return trapResolve, true
 	}
 	s.res.FaultMispredicts++
-	pb := &sw.lp[sw.cls.faultBlock[sw.faultOff]]
-	scr := sw.scr
-	copy(scr.shadow[:laneRegsUsed], scr.regs[:laneRegsUsed])
+	pb := &s.lp[sw.cls.faultBlock[sw.faultOff]]
 	shadowIssue := issue + 1
 	if sw.wm != nil {
 		if misses := int(sw.wm[sw.faultOff]); misses > 0 {
@@ -764,15 +811,7 @@ func (s *Sim) sweepRecover(kind uint8, trapResolve, issue int64) (int64, bool) {
 		}
 	}
 	sw.faultOff++
-	shadow := s.laneSchedule(pb, shadowIssue, &scr.shadow, false)
-	faultResolve := shadow.firstFault
-	if faultResolve == 0 {
-		faultResolve = shadow.done
-	}
-	if faultResolve < trapResolve {
-		faultResolve = trapResolve
-	}
-	return faultResolve, true
+	return s.shadowResolve(pb, shadowIssue, trapResolve), true
 }
 
 // sweepStep is OnBlock for a lane: the same window, stall, retire and
@@ -781,7 +820,7 @@ func (s *Sim) sweepRecover(kind uint8, trapResolve, issue int64) (int64, bool) {
 // so the lockstep loop can fuse the scheduling of two lanes in between.
 func (s *Sim) sweepStep(idx, ei int) {
 	lb, issue := s.sweepPre(idx, ei)
-	sched := s.laneSchedule(lb, issue, &s.sw.scr.regs, true)
+	sched := s.laneSchedule(lb, issue, &s.scr.regs, true)
 	s.sweepPost(lb, ei, issue, sched)
 }
 
@@ -790,25 +829,8 @@ func (s *Sim) sweepStep(idx, ei int) {
 // the issue time its scheduling starts from.
 func (s *Sim) sweepPre(idx, ei int) (lb *laneBlock, issue int64) {
 	sw := s.sw
-	lb = &sw.lp[idx]
-
-	fetch := s.nextFetch
-	for s.winLen > 0 {
-		head := s.win[s.winHead].retire
-		if s.winLen >= s.cfg.WindowBlocks || s.winOps+lb.numOps > s.cfg.WindowOps {
-			if head > fetch {
-				s.res.FetchStallWindow += head - fetch
-				fetch = head
-			}
-			s.popWindow()
-			continue
-		}
-		if head <= fetch {
-			s.popWindow()
-			continue
-		}
-		break
-	}
+	lb = &s.lp[idx]
+	fetch := s.drainWindow(s.nextFetch, lb)
 	if sw.fm != nil {
 		if misses := int(sw.fm[ei]); misses > 0 {
 			stall := int64(s.cfg.L2Latency + (misses - 1))
@@ -817,7 +839,7 @@ func (s *Sim) sweepPre(idx, ei int) (lb *laneBlock, issue int64) {
 		}
 	}
 	s.cycle = fetch
-	sw.scr.ring.advance(fetch)
+	s.scr.ring.advance(fetch)
 	return lb, fetch + int64(s.cfg.FrontEndDepth)
 }
 
@@ -826,18 +848,9 @@ func (s *Sim) sweepPre(idx, ei int) (lb *laneBlock, issue int64) {
 func (s *Sim) sweepPost(lb *laneBlock, ei int, issue int64, sched schedTimes) {
 	sw := s.sw
 	fetch := issue - int64(s.cfg.FrontEndDepth)
-	blockDone, trapResolve := sched.done, sched.term
+	s.retire(lb, sched.done)
 
-	retire := blockDone + 1
-	if retire <= s.lastRetire {
-		retire = s.lastRetire + 1
-	}
-	s.lastRetire = retire
-	s.pushWindow(windowEntry{retire: retire, ops: lb.numOps})
-	s.res.Ops += int64(lb.numOps)
-	s.res.Blocks++
-
-	nextFetch := fetch + lb.fetchCycles
+	nextFetch := fetch + int64(lb.fetchCycles)
 	if uint32(ei) == sw.nextMp {
 		kind := sw.cls.mpKind[sw.mpOff]
 		sw.mpOff++
@@ -846,15 +859,8 @@ func (s *Sim) sweepPost(lb *laneBlock, ei int, issue int64, sched schedTimes) {
 		} else {
 			sw.nextMp = sweepNoMp
 		}
-		resolve, wasFault := s.sweepRecover(kind, trapResolve, issue)
-		restart := resolve + int64(s.cfg.FrontEndDepth)
-		if wasFault {
-			restart += int64(s.cfg.FaultSquashPenalty)
-		}
-		if restart > nextFetch {
-			s.res.RecoveryStall += restart - nextFetch
-			nextFetch = restart
-		}
+		resolve, wasFault := s.sweepRecover(kind, sched.term, issue)
+		nextFetch = s.restartAfter(nextFetch, resolve, wasFault)
 	}
 	s.nextFetch = nextFetch
 }
@@ -918,10 +924,6 @@ func sweepCheck(norm []Config) error {
 		if err := cfg.Validate(); err != nil {
 			return fmt.Errorf("uarch: sweep: config %d: %w", i, err)
 		}
-		if cfg.NumFUs > 255 {
-			// The lane FU scoreboard holds per-cycle byte counts.
-			return fmt.Errorf("uarch: sweep: config %d: %d functional units exceed the lane scoreboard range", i, cfg.NumFUs)
-		}
 		if stripSweepAxes(cfg) != ref {
 			return fmt.Errorf("uarch: sweep: config %d differs from config 0 beyond the swept axes", i)
 		}
@@ -932,8 +934,7 @@ func sweepCheck(norm []Config) error {
 // CanSweep reports whether Sweep accepts cfgs, and if not, why. A grid is
 // sweepable when every configuration is valid, uses neither a trace cache
 // nor multi-block fetch (their fetch paths observe per-config timing, which
-// breaks the shared enrichment), fits the lane scoreboard (NumFUs ≤ 255),
-// and differs from config 0 only along the swept axes: ICache.SizeBytes
+// breaks the shared enrichment), and differs from config 0 only along the swept axes: ICache.SizeBytes
 // (perfect allowed), the Predictor tables, and the core-geometry knobs
 // (IssueWidth, WindowBlocks, WindowOps, NumFUs, FrontEndDepth, L2Latency,
 // FaultSquashPenalty). Icache ways and line size, the dcache, and perfect-BP
@@ -1097,7 +1098,6 @@ func SweepPredecoded(ctx context.Context, t *emu.Trace, cfgs []Config, workers i
 		lane := &sweepLane{
 			sh:     sh,
 			cls:    cls,
-			lp:     lpFor(cfg.IssueWidth),
 			level:  -1,
 			nextMp: sweepNoMp,
 		}
@@ -1113,11 +1113,15 @@ func SweepPredecoded(ctx context.Context, t *emu.Trace, cfgs []Config, workers i
 			lane.fm = cls.fetchMiss[lvl*ne : (lvl+1)*ne]
 			lane.wm = cls.wrongMiss[lvl]
 		}
-		lane.scr = getLaneScratch(cfg.WindowBlocks)
+		scr := getLaneScratch(cfg.WindowBlocks)
 		sims[i] = &Sim{
-			cfg: cfg,
-			win: lane.scr.win,
-			sw:  lane,
+			cfg:    cfg,
+			lp:     lpFor(cfg.IssueWidth),
+			scr:    scr,
+			win:    scr.win,
+			ldMiss: sh.ldMiss,
+			noMiss: sh.noMiss,
+			sw:     lane,
 		}
 	}
 
@@ -1163,10 +1167,8 @@ func SweepPredecoded(ctx context.Context, t *emu.Trace, cfgs []Config, workers i
 		}
 		for i, s := range group {
 			results[lo+i] = s.sweepFinish()
-			scr := s.sw.scr
-			s.sw.scr = nil
-			s.win = nil
-			putLaneScratch(s.cfg.WindowBlocks, scr)
+			putLaneScratch(s.cfg.WindowBlocks, s.scr)
+			s.scr, s.win = nil, nil
 		}
 		return nil
 	})

@@ -106,7 +106,8 @@ func (c Config) withDefaults() Config {
 var ErrBadConfig = errors.New("uarch: invalid configuration")
 
 // Validate rejects configurations New (or the sweep engine) would refuse or
-// silently mis-simulate: non-positive machine widths, negative latencies,
+// silently mis-simulate: non-positive machine widths, more functional units
+// than the scheduler's byte-count scoreboard holds, negative latencies,
 // illegal cache or predictor-table geometry, and trace-cache sets/ways that
 // break its power-of-two index masking. Every failure wraps ErrBadConfig
 // and, for cache or predictor geometry, the underlying package's error. Defaults are applied first, so
@@ -122,6 +123,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: window of %d operations < 1", ErrBadConfig, d.WindowOps)
 	case d.NumFUs < 1:
 		return fmt.Errorf("%w: %d functional units < 1", ErrBadConfig, d.NumFUs)
+	case d.NumFUs > 255:
+		// The scheduler's FU scoreboard holds per-cycle byte counts.
+		return fmt.Errorf("%w: %d functional units > 255", ErrBadConfig, d.NumFUs)
 	case d.FrontEndDepth < 0:
 		return fmt.Errorf("%w: negative front-end depth %d", ErrBadConfig, d.FrontEndDepth)
 	case d.L2Latency < 0:
@@ -205,7 +209,11 @@ func (r *Result) Mispredicts() int64 {
 	return r.TrapMispredicts + r.FaultMispredicts + r.Misfetches
 }
 
-// Sim consumes a committed block stream and accumulates timing.
+// Sim consumes a committed block stream and accumulates timing. A live Sim
+// drives real icache, dcache and predictor models; a sweep lane (sw non-nil)
+// reads those outcomes from a shared enrichment pass instead (sweep.go).
+// Both schedule every block through the same kernel, laneSchedule, over
+// predecoded operation tables.
 type Sim struct {
 	cfg    Config
 	prog   *isa.Program
@@ -213,21 +221,30 @@ type Sim struct {
 	pred   bpred.Predictor
 	ic     *cache.Cache
 	dc     *cache.Cache
-	fuse   map[isa.BlockID][]int // per-block macro-op fusion memo (policy.go)
+	tc     *traceCache
+	mb     *multiBlock
 
-	cycle          int64 // current fetch cycle
-	nextFetch      int64
-	tc             *traceCache
-	mb             *multiBlock
-	regReady       [isa.NumRegs]int64
-	fu             fuRing
-	win            []windowEntry // ring buffer of in-flight blocks
-	winHead        int
-	winLen         int
-	winOps         int // running in-flight operation count
-	lastRetire     int64
-	res            Result
-	shadowRegReady [isa.NumRegs]int64
+	// Scheduling state. lp is the predecoded block table, scr the FU ring,
+	// register-ready tables and window ring. ldMiss is the load-outcome
+	// stream laneSchedule consumes from ldOff: a live Sim refills it per
+	// block from its dcache, a lane walks the shared enrichment stream.
+	// noMiss is the all-hit stream for shadow (wrong-path) passes and
+	// blocks without memory traffic.
+	lp     []laneBlock
+	scr    *laneScratch
+	ldMiss []uint8
+	ldOff  int
+	ldBuf  []uint8 // live Sim: the current block's load outcomes
+	noMiss []uint8
+
+	cycle      int64 // current fetch cycle
+	nextFetch  int64
+	win        []windowEntry // ring buffer of in-flight blocks (scr.win)
+	winHead    int
+	winLen     int
+	winOps     int // running in-flight operation count
+	lastRetire int64
+	res        Result
 
 	// sw, when non-nil, marks this Sim as a sweep lane: per-config timing
 	// state driven from shared precomputed cache/predictor outcomes instead
@@ -241,57 +258,20 @@ type windowEntry struct {
 	ops    int
 }
 
-// fuRing is the functional-unit scoreboard: a fixed-size ring of busy counts
-// indexed by cycle. It replaces a map[int64]int — the scheduler only ever
-// claims cycles in a bounded window at or after the current fetch cycle, so
-// a power-of-two ring with a sliding base covers every access without
-// hashing or periodic sweeps.
-type fuRing struct {
-	counts []int32
-	mask   int64
-	base   int64 // counts hold cycles in [base, base+len(counts))
-}
-
-func newFURing() fuRing {
-	const size = 2048 // power of two; grows on demand
-	return fuRing{counts: make([]int32, size), mask: size - 1}
-}
-
-// advance slides the window start to cycle, clearing vacated slots. Cycles
-// before the current fetch cycle can never be claimed again (operations
-// issue strictly after fetch), so their counts are dead.
-func (r *fuRing) advance(cycle int64) {
-	if cycle <= r.base {
-		return
-	}
-	if cycle-r.base >= int64(len(r.counts)) {
-		clear(r.counts)
-	} else {
-		for c := r.base; c < cycle; c++ {
-			r.counts[c&r.mask] = 0
-		}
-	}
-	r.base = cycle
-}
-
-// grow doubles the ring until cycle fits, re-placing live counts.
-func (r *fuRing) grow(cycle int64) {
-	n := len(r.counts)
-	for int64(n) <= cycle-r.base {
-		n *= 2
-	}
-	nc := make([]int32, n)
-	nm := int64(n - 1)
-	for c := r.base; c < r.base+int64(len(r.counts)); c++ {
-		nc[c&nm] = r.counts[c&r.mask]
-	}
-	r.counts, r.mask = nc, nm
-}
-
 // New builds a timing simulator for the program. The fetch policy —
 // predictor family, serialization, fusion — follows the backend registered
 // for the program's ISA kind.
 func New(prog *isa.Program, cfg Config) (*Sim, error) {
+	return newSim(prog, cfg, nil)
+}
+
+// newSim is New reusing pre's predecoded tables when they were built for
+// prog at the configuration's issue width (nil or mismatched flattens
+// fresh).
+func newSim(prog *isa.Program, cfg Config, pre *Predecoded) (*Sim, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	ic, err := cache.New(cfg.ICache)
 	if err != nil {
@@ -307,12 +287,16 @@ func New(prog *isa.Program, cfg Config) (*Sim, error) {
 		policy: backend.PolicyFor(prog.Kind),
 		ic:     ic,
 		dc:     dc,
-		fu:     newFURing(),
-		// The pop-before-push discipline in OnBlock keeps at most
-		// WindowBlocks entries in flight; one spare slot keeps the ring
-		// arithmetic simple.
-		win: make([]windowEntry, cfg.WindowBlocks+1),
+		lp:     pre.tables(prog, cfg.IssueWidth),
+		scr:    newLaneScratch(cfg.WindowBlocks),
 	}
+	s.win = s.scr.win
+	maxOps := 0
+	for i := range s.lp {
+		maxOps = max(maxOps, len(s.lp[i].ops))
+	}
+	s.ldBuf = make([]uint8, maxOps)
+	s.noMiss = make([]uint8, maxOps)
 	if !cfg.PerfectBP {
 		switch s.policy.Predictor {
 		case backend.PredBSA:
@@ -335,67 +319,14 @@ func New(prog *isa.Program, cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// allocFU returns the first cycle at or after ready with a free functional
-// unit, and claims it.
-func (s *Sim) allocFU(ready int64) int64 {
-	r := &s.fu
-	if ready < r.base {
-		// Defensive: operations always issue after the current fetch cycle,
-		// which is where the ring base sits.
-		ready = r.base
-	}
-	limit := int32(s.cfg.NumFUs)
-	for {
-		if ready-r.base >= int64(len(r.counts)) {
-			r.grow(ready)
-		}
-		if r.counts[ready&r.mask] < limit {
-			break
-		}
-		ready++
-	}
-	r.counts[ready&r.mask]++
-	return ready
-}
-
-// fetchCycles returns how many cycles fetching a block takes (long
-// conventional basic blocks stream over several cycles).
-func (s *Sim) fetchCycles(b *isa.Block) int64 {
-	n := (len(b.Ops) + s.cfg.IssueWidth - 1) / s.cfg.IssueWidth
-	if n < 1 {
-		n = 1
-	}
-	return int64(n)
-}
-
 // OnBlock consumes one committed block event. Pass it as the emulator's
 // handler.
 func (s *Sim) OnBlock(ev *emu.BlockEvent) error {
 	b := ev.Block
-
-	// Macro-op fusion shrinks the block's window and FU footprint; retired
-	// operation counts stay architectural.
-	pairs := s.fusionPairs(b)
-	winOps := len(b.Ops) - len(pairs)
+	lb := &s.lp[b.ID]
 
 	// Fetch: wait for window capacity, then access the icache.
-	fetch := s.nextFetch
-	for s.winLen > 0 {
-		head := s.win[s.winHead].retire
-		if s.winLen >= s.cfg.WindowBlocks || s.winOps+winOps > s.cfg.WindowOps {
-			if head > fetch {
-				s.res.FetchStallWindow += head - fetch
-				fetch = head
-			}
-			s.popWindow()
-			continue
-		}
-		if head <= fetch {
-			s.popWindow()
-			continue
-		}
-		break
-	}
+	fetch := s.drainWindow(s.nextFetch, lb)
 	// Trace cache: a block covered by an open trace window shares the
 	// window's fetch cycle and bypasses the icache (the trace cache stores
 	// the operations).
@@ -431,32 +362,22 @@ func (s *Sim) OnBlock(ev *emu.BlockEvent) error {
 		}
 	}
 	s.cycle = fetch
-	s.fu.advance(fetch)
+	s.scr.ring.advance(fetch)
 
 	issue := fetch + int64(s.cfg.FrontEndDepth)
 
-	// Schedule the block's operations through rename + dataflow + FUs.
-	sched := s.scheduleOps(b, ev.MemAddrs, issue, &s.regReady, true)
-	blockDone, trapResolve := sched.done, sched.term
-
-	// Retire in order, one block per cycle.
-	retire := blockDone + 1
-	if retire <= s.lastRetire {
-		retire = s.lastRetire + 1
-	}
-	s.lastRetire = retire
-	s.pushWindow(windowEntry{retire: retire, ops: winOps})
-	s.res.Ops += int64(len(b.Ops))
-	s.res.Blocks++
-	s.res.FusedPairs += int64(len(pairs))
-
+	// Schedule the block's operations through rename + dataflow + FUs,
+	// after walking its memory operations through the dcache in op order.
+	s.loadOutcomes(b, ev.MemAddrs)
+	sched := s.laneSchedule(lb, issue, &s.scr.regs, true)
+	s.retire(lb, sched.done)
 	if s.tc != nil {
 		s.tc.retire(b)
 	}
 
 	// Next-block prediction. A trace-covered block consumed no fetch slot,
 	// so the next block may fetch in the same cycle.
-	nextFetch := fetch + s.fetchCycles(b)
+	nextFetch := fetch + int64(lb.fetchCycles)
 	if covered {
 		nextFetch = fetch
 	}
@@ -470,15 +391,8 @@ func (s *Sim) OnBlock(ev *emu.BlockEvent) error {
 			if s.mb != nil {
 				s.mb.breakGroup()
 			}
-			resolve, wasFault := s.recover(b, predicted, ev.Next, trapResolve, issue)
-			restart := resolve + int64(s.cfg.FrontEndDepth)
-			if wasFault {
-				restart += int64(s.cfg.FaultSquashPenalty)
-			}
-			if restart > nextFetch {
-				s.res.RecoveryStall += restart - nextFetch
-				nextFetch = restart
-			}
+			resolve, wasFault := s.recover(b, predicted, ev.Next, sched.term, issue)
+			nextFetch = s.restartAfter(nextFetch, resolve, wasFault)
 		}
 	}
 	// Non-speculative fetch (BasicBlocker): a transfer that only resolves at
@@ -487,7 +401,7 @@ func (s *Sim) OnBlock(ev *emu.BlockEvent) error {
 	// whole front end and lifts the serialization too.
 	if s.policy.SerializeControl && !s.cfg.PerfectBP && ev.Next != isa.NoBlock {
 		if serializesFetch(b.Terminator()) {
-			restart := trapResolve + int64(s.cfg.FrontEndDepth)
+			restart := sched.term + int64(s.cfg.FrontEndDepth)
 			if restart > nextFetch {
 				s.res.FetchStallControl += restart - nextFetch
 				nextFetch = restart
@@ -496,6 +410,93 @@ func (s *Sim) OnBlock(ev *emu.BlockEvent) error {
 	}
 	s.nextFetch = nextFetch
 	return nil
+}
+
+// loadOutcomes walks b's committed loads and stores through the dcache in
+// operation order and points ldMiss at one byte per load (1 = miss), the
+// stream laneSchedule charges L2 latency from. A memory op without a
+// recorded address is treated as a hit and leaves the dcache untouched.
+func (s *Sim) loadOutcomes(b *isa.Block, memAddrs []uint32) {
+	s.ldOff = 0
+	if len(memAddrs) == 0 {
+		s.ldMiss = s.noMiss
+		return
+	}
+	n, memIdx := 0, 0
+	for i := range b.Ops {
+		switch b.Ops[i].Opcode {
+		case isa.LD:
+			var m uint8
+			if memIdx < len(memAddrs) {
+				if !s.dc.Access(memAddrs[memIdx]) {
+					m = 1
+				}
+				memIdx++
+			}
+			s.ldBuf[n] = m
+			n++
+		case isa.ST:
+			if memIdx < len(memAddrs) {
+				s.dc.Access(memAddrs[memIdx])
+				memIdx++
+			}
+		}
+	}
+	s.ldMiss = s.ldBuf
+}
+
+// drainWindow pops retired blocks off the window ring and, while the window
+// cannot take lb (block or operation capacity), stalls fetch until its
+// oldest block retires. It returns the resulting fetch cycle.
+func (s *Sim) drainWindow(fetch int64, lb *laneBlock) int64 {
+	winOps := len(lb.ops) // a fused pair holds one window slot
+	for s.winLen > 0 {
+		head := s.win[s.winHead].retire
+		if s.winLen >= s.cfg.WindowBlocks || s.winOps+winOps > s.cfg.WindowOps {
+			if head > fetch {
+				s.res.FetchStallWindow += head - fetch
+				fetch = head
+			}
+			s.popWindow()
+			continue
+		}
+		if head <= fetch {
+			s.popWindow()
+			continue
+		}
+		break
+	}
+	return fetch
+}
+
+// retire records a scheduled block's in-order retirement (one block per
+// cycle) and enters it into the window. Retired counts stay architectural:
+// a fused pair retires as two operations.
+func (s *Sim) retire(lb *laneBlock, done int64) {
+	retire := done + 1
+	if retire <= s.lastRetire {
+		retire = s.lastRetire + 1
+	}
+	s.lastRetire = retire
+	s.pushWindow(windowEntry{retire: retire, ops: len(lb.ops)})
+	s.res.Ops += int64(lb.numOps)
+	s.res.Blocks++
+	s.res.FusedPairs += int64(int(lb.numOps) - len(lb.ops))
+}
+
+// restartAfter applies a misprediction resolving at resolve: fetch restarts
+// after the front-end refill (plus the block-squash penalty for a fault
+// misprediction), and any delay past nextFetch is charged as recovery.
+func (s *Sim) restartAfter(nextFetch, resolve int64, wasFault bool) int64 {
+	restart := resolve + int64(s.cfg.FrontEndDepth)
+	if wasFault {
+		restart += int64(s.cfg.FaultSquashPenalty)
+	}
+	if restart > nextFetch {
+		s.res.RecoveryStall += restart - nextFetch
+		nextFetch = restart
+	}
+	return nextFetch
 }
 
 // popWindow retires the oldest in-flight block from the window ring.
@@ -524,97 +525,6 @@ type schedTimes struct {
 	done       int64 // last operation completes
 	term       int64 // terminator (trap/branch/return) resolves
 	firstFault int64 // first fault operation resolves (0 if none)
-}
-
-// scheduleOps runs a block through the dataflow scheduler. When commit is
-// true, register-ready state and the dcache are updated; otherwise the pass
-// is a shadow (wrong-path) issue that only consumes FU slots.
-func (s *Sim) scheduleOps(b *isa.Block, memAddrs []uint32, issue int64, regReady *[isa.NumRegs]int64, commit bool) schedTimes {
-	memIdx := 0
-	pairs := s.fusionPairs(b)
-	pi := 0
-	st := schedTimes{done: issue, term: issue + 1}
-	for i := 0; i < len(b.Ops); i++ {
-		op := &b.Ops[i]
-		fused := pi < len(pairs) && pairs[pi] == i
-		ready := issue
-		reads, nr := op.ReadRegs()
-		for k := 0; k < nr; k++ {
-			if r := reads[k]; r != isa.RegZero && regReady[r] > ready {
-				ready = regReady[r]
-			}
-		}
-		var op2 *isa.Op
-		if fused {
-			// The pair issues as one macro-op: the second op's sources gate
-			// readiness too, except the intra-pair dependency the fused
-			// datapath satisfies internally.
-			op2 = &b.Ops[i+1]
-			rd1, _ := op.Writes()
-			reads2, nr2 := op2.ReadRegs()
-			for k := 0; k < nr2; k++ {
-				if r := reads2[k]; r != isa.RegZero && r != rd1 && regReady[r] > ready {
-					ready = regReady[r]
-				}
-			}
-			pi++
-			i++
-		}
-		start := s.allocFU(ready)
-		lat := int64(op.Opcode.Latency())
-		memOp := op
-		if fused {
-			// The macro-op takes the slower half's latency.
-			if l2 := int64(op2.Opcode.Latency()); l2 > lat {
-				lat = l2
-			}
-			if op2.Opcode == isa.LD || op2.Opcode == isa.ST {
-				memOp = op2
-			}
-		}
-		switch memOp.Opcode {
-		case isa.LD:
-			if commit {
-				if memIdx < len(memAddrs) {
-					if !s.dc.Access(memAddrs[memIdx]) {
-						lat += int64(s.cfg.L2Latency)
-					}
-					memIdx++
-				}
-			}
-			// Shadow loads assume L1 hits (wrong-path addresses are not
-			// architectural).
-		case isa.ST:
-			if commit && memIdx < len(memAddrs) {
-				s.dc.Access(memAddrs[memIdx])
-				memIdx++
-			}
-		}
-		done := start + lat
-		if rd, ok := op.Writes(); ok && rd != isa.RegZero {
-			regReady[rd] = done
-		}
-		last := op
-		if fused {
-			if rd, ok := op2.Writes(); ok && rd != isa.RegZero {
-				regReady[rd] = done
-			}
-			last = op2
-		}
-		if last.Opcode == isa.CALL {
-			regReady[isa.RegLR] = done
-		}
-		if last.Opcode.IsBlockEnd() {
-			st.term = done
-		}
-		if last.Opcode == isa.FAULT && st.firstFault == 0 {
-			st.firstFault = done
-		}
-		if done > st.done {
-			st.done = done
-		}
-	}
-	return st
 }
 
 // mpKind classifies a misprediction event. The classification depends only
@@ -686,35 +596,41 @@ func (s *Sim) recover(b *isa.Block, predicted, actual isa.BlockID, trapResolve, 
 	}
 
 	// Fault misprediction: the wrong variant was fetched and issued; its
-	// fault fires once the fault's condition operands resolve. Shadow-issue
-	// the predicted variant (a real static block) one cycle after b's
-	// fetch, against a copy of the register-ready state, charging FU slots
-	// for the discarded work. The wrong variant's fetch goes through the
-	// icache: a miss delays its issue and therefore the fault's resolution
-	// — squashed blocks cannot even detect the misprediction until they
-	// are fetched, one of the reasons fault mispredictions cost more than
-	// ordinary branch mispredictions (paper §5).
+	// fault fires once the fault's condition operands resolve. The wrong
+	// variant's fetch goes through the icache: a miss delays its issue and
+	// therefore the fault's resolution — squashed blocks cannot even detect
+	// the misprediction until they are fetched, one of the reasons fault
+	// mispredictions cost more than ordinary branch mispredictions (paper
+	// §5).
 	s.res.FaultMispredicts++
 	pb := s.prog.Block(predicted)
 	if pb == nil {
 		return trapResolve, true
 	}
-	s.shadowRegReady = s.regReady
 	shadowIssue := issue + 1
 	if misses := s.ic.AccessRange(pb.Addr, pb.Size); misses > 0 {
 		shadowIssue += int64(s.cfg.L2Latency + (misses - 1))
 	}
-	shadow := s.scheduleOps(pb, nil, shadowIssue, &s.shadowRegReady, false)
+	return s.shadowResolve(&s.lp[predicted], shadowIssue, trapResolve), true
+}
+
+// shadowResolve shadow-issues the wrongly predicted variant pb (a real
+// static block) at shadowIssue, against a copy of the register-ready state
+// and with every load assumed to hit, charging FU slots for the discarded
+// work. It returns when the variant's first fault fires — the misprediction
+// resolves — but never before the terminator of the block that predicted
+// it.
+func (s *Sim) shadowResolve(pb *laneBlock, shadowIssue, trapResolve int64) int64 {
+	scr := s.scr
+	copy(scr.shadow[:laneRegsUsed], scr.regs[:laneRegsUsed])
+	shadow := s.laneSchedule(pb, shadowIssue, &scr.shadow, false)
 	faultResolve := shadow.firstFault
 	if faultResolve == 0 {
 		// Defensive: a variant without faults cannot detect the
 		// misprediction itself; fall back to its completion.
 		faultResolve = shadow.done
 	}
-	if faultResolve < trapResolve {
-		faultResolve = trapResolve
-	}
-	return faultResolve, true
+	return max(faultResolve, trapResolve)
 }
 
 // Window reports the in-flight occupancy — blocks and operations the window

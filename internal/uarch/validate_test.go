@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bsisa/internal/cache"
+	"bsisa/internal/isa"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -18,6 +19,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative issue width", Config{IssueWidth: -1}},
 		{"negative window blocks", Config{WindowBlocks: -4}},
 		{"negative fus", Config{NumFUs: -2}},
+		{"fus beyond the byte scoreboard", Config{NumFUs: 256}},
 		{"negative front end", Config{FrontEndDepth: -1}},
 		{"negative l2 latency", Config{L2Latency: -10}},
 		{"negative squash penalty", Config{FaultSquashPenalty: -3}},
@@ -36,5 +38,11 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatalf("Validate = %v, want errors.Is(err, ErrBadConfig)", err)
 			}
 		})
+	}
+	if err := (Config{NumFUs: 255}).Validate(); err != nil {
+		t.Fatalf("255 functional units should validate: %v", err)
+	}
+	if _, err := New(&isa.Program{}, Config{NumFUs: 256}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("New with 256 functional units = %v, want ErrBadConfig", err)
 	}
 }
