@@ -131,8 +131,10 @@ func BenchmarkAblateMinBias(b *testing.B) {
 
 // ---- component microbenchmarks ----
 
-func liSource() string {
-	p, _ := workload.ProfileByName("li", 0.05)
+func liSource() string { return benchSource("li") }
+
+func benchSource(name string) string {
+	p, _ := workload.ProfileByName(name, benchScale)
 	src, err := workload.Source(p)
 	if err != nil {
 		panic(err)
@@ -140,43 +142,50 @@ func liSource() string {
 	return src
 }
 
-// BenchmarkCompileConventional measures full compilation throughput for the
-// conventional backend.
-func BenchmarkCompileConventional(b *testing.B) {
-	src := liSource()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := compile.Compile(src, "li", compile.DefaultOptions(isa.Conventional)); err != nil {
-			b.Fatal(err)
-		}
+// compileBenchProfiles are the compile and enlarge benchmark inputs: li is
+// small, and gcc is the largest Table-2 profile, where a pass whose cost
+// grows faster than the program stands out.
+var compileBenchProfiles = []string{"li", "gcc"}
+
+func benchCompile(b *testing.B, kind isa.Kind) {
+	for _, name := range compileBenchProfiles {
+		src := benchSource(name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := compile.Compile(src, name, compile.DefaultOptions(kind)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
+// BenchmarkCompileConventional measures full compilation throughput for the
+// conventional backend.
+func BenchmarkCompileConventional(b *testing.B) { benchCompile(b, isa.Conventional) }
+
 // BenchmarkCompileBlockStructured measures the block-structured backend.
-func BenchmarkCompileBlockStructured(b *testing.B) {
-	src := liSource()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := compile.Compile(src, "li", compile.DefaultOptions(isa.BlockStructured)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkCompileBlockStructured(b *testing.B) { benchCompile(b, isa.BlockStructured) }
 
 // BenchmarkEnlarge measures the block enlargement pass itself.
 func BenchmarkEnlarge(b *testing.B) {
-	src := liSource()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		prog, err := compile.Compile(src, "li", compile.DefaultOptions(isa.BlockStructured))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := core.Enlarge(prog, core.Params{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, name := range compileBenchProfiles {
+		src := benchSource(name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				prog, err := compile.Compile(src, name, compile.DefaultOptions(isa.BlockStructured))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := core.Enlarge(prog, core.Params{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -180,12 +180,12 @@ func (g *generator) genPrologue() {
 	// Move incoming arguments to their allocated homes.
 	for i, p := range g.irf.Params {
 		argReg := isa.RegArg0 + isa.Reg(i)
-		if home, ok := g.alloc.RegOf[p]; ok {
+		if home, ok := g.alloc.RegOf(p); ok {
 			g.emit(isa.Op{Opcode: isa.ADDI, Rd: home, Rs1: argReg, Imm: 0})
-		} else if slot, ok := g.alloc.SlotOf[p]; ok {
+		} else if slot, ok := g.alloc.SlotOf(p); ok {
 			g.emit(isa.Op{Opcode: isa.ST, Rs1: isa.RegSP, Rs2: argReg, Imm: fr.spillBase + int32(slot)*8})
 		}
-		// A parameter in neither map is never used; drop it.
+		// A parameter with neither a register nor a slot is never used; drop it.
 	}
 }
 
@@ -205,10 +205,10 @@ func (g *generator) genEpilogue() {
 // readReg ensures the value of vreg is in an architectural register, loading
 // spills into the given scratch register.
 func (g *generator) readReg(v ir.Reg, scratch isa.Reg) isa.Reg {
-	if r, ok := g.alloc.RegOf[v]; ok {
+	if r, ok := g.alloc.RegOf(v); ok {
 		return r
 	}
-	slot, ok := g.alloc.SlotOf[v]
+	slot, ok := g.alloc.SlotOf(v)
 	if !ok {
 		// A register that was never defined (possible only for unused
 		// params); read as zero.
@@ -221,10 +221,10 @@ func (g *generator) readReg(v ir.Reg, scratch isa.Reg) isa.Reg {
 // destReg returns the register an instruction should write, and a function to
 // call afterwards that stores spilled destinations.
 func (g *generator) destReg(v ir.Reg, scratch isa.Reg) (isa.Reg, func()) {
-	if r, ok := g.alloc.RegOf[v]; ok {
+	if r, ok := g.alloc.RegOf(v); ok {
 		return r, func() {}
 	}
-	slot, ok := g.alloc.SlotOf[v]
+	slot, ok := g.alloc.SlotOf(v)
 	if !ok {
 		// Dead destination (e.g. call result never used after DCE ran on a
 		// multi-def register): write the scratch and drop it.
@@ -434,9 +434,9 @@ func (g *generator) genInstr(b *ir.Block, in *ir.Instr) error {
 		// The destination is also a source (the not-taken value).
 		val := g.readReg(in.A, isa.RegSav0)
 		cond := g.readReg(in.B, isa.RegSav1)
-		if r, ok := g.alloc.RegOf[in.Dst]; ok {
+		if r, ok := g.alloc.RegOf(in.Dst); ok {
 			g.emit(isa.Op{Opcode: isa.CMOVNZ, Rd: r, Rs1: val, Rs2: cond})
-		} else if slot, ok := g.alloc.SlotOf[in.Dst]; ok {
+		} else if slot, ok := g.alloc.SlotOf(in.Dst); ok {
 			// Three live values (old, val, cond) but only two spill
 			// scratches: borrow the return-value register, which is dead
 			// everywhere except immediately around calls and returns —

@@ -140,13 +140,17 @@ func main() {
 	// Registers live at the same time must be distinct. a..d are all live
 	// at the first out; check all allocated regs are within the allocatable
 	// range.
-	for v, r := range alloc.RegOf {
-		if r < isa.RegTmp0 || r > isa.RegTmpN {
+	slots := 0
+	for v := ir.Reg(0); v < f.NextReg; v++ {
+		if r, ok := alloc.RegOf(v); ok && (r < isa.RegTmp0 || r > isa.RegTmpN) {
 			t.Errorf("v%d allocated to non-allocatable %s", v, r)
 		}
+		if _, ok := alloc.SlotOf(v); ok {
+			slots++
+		}
 	}
-	if alloc.NumSlots != len(alloc.SlotOf) {
-		t.Errorf("NumSlots %d != len(SlotOf) %d", alloc.NumSlots, len(alloc.SlotOf))
+	if alloc.NumSlots != slots {
+		t.Errorf("NumSlots %d != spilled registers %d", alloc.NumSlots, slots)
 	}
 }
 

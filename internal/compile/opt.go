@@ -24,8 +24,8 @@ func Optimize(m *ir.Module) {
 // once has TWO definitions, so the single-def sparse reasoning in constFold
 // and copyProp must not treat the assignment as its only def (uses before
 // the assignment read the incoming argument).
-func defCount(f *ir.Func) map[ir.Reg]int {
-	defs := map[ir.Reg]int{}
+func defCount(f *ir.Func) []int32 {
+	defs := make([]int32, f.NextReg)
 	for _, p := range f.Params {
 		defs[p]++
 	}
@@ -43,7 +43,7 @@ func defCount(f *ir.Func) map[ir.Reg]int {
 // and folds constant expressions, including Br-on-constant.
 func constFold(f *ir.Func) bool {
 	defs := defCount(f)
-	consts := map[ir.Reg]int64{}
+	consts := constTable{val: make([]int64, f.NextReg), known: ir.NewRegSet(f.NextReg)}
 	changed := false
 	// Iterate to propagate chains (const -> add -> ...).
 	for pass := 0; pass < 4; pass++ {
@@ -55,11 +55,11 @@ func constFold(f *ir.Func) bool {
 				if d == ir.NoReg || defs[d] != 1 {
 					continue
 				}
-				if _, known := consts[d]; known {
+				if consts.known.Has(d) {
 					continue
 				}
-				if v, ok := evalConst(in, consts); ok {
-					consts[d] = v
+				if v, ok := evalConst(in, &consts); ok {
+					consts.set(d, v)
 					if in.Op != ir.Const {
 						*in = ir.Instr{Op: ir.Const, Dst: d, Imm: v, A: ir.NoReg, B: ir.NoReg}
 						changed = true
@@ -80,7 +80,7 @@ func constFold(f *ir.Func) bool {
 		}
 		switch t.Op {
 		case ir.Br:
-			v, ok := consts[t.A]
+			v, ok := consts.get(t.A)
 			if !ok {
 				continue
 			}
@@ -92,7 +92,7 @@ func constFold(f *ir.Func) bool {
 			b.Succs = []*ir.Block{keep}
 			changed = true
 		case ir.Switch:
-			v, ok := consts[t.A]
+			v, ok := consts.get(t.A)
 			if !ok {
 				continue
 			}
@@ -112,12 +112,28 @@ func constFold(f *ir.Func) bool {
 	return changed
 }
 
-// evalConst evaluates an instruction whose operands are known constants.
-func evalConst(in *ir.Instr, consts map[ir.Reg]int64) (int64, bool) {
-	c := func(r ir.Reg) (int64, bool) {
-		v, ok := consts[r]
-		return v, ok
+// constTable holds the constants constFold has proved: val[v] is v's value
+// when known holds v.
+type constTable struct {
+	val   []int64
+	known ir.RegSet
+}
+
+func (c *constTable) get(r ir.Reg) (int64, bool) {
+	if !c.known.Has(r) {
+		return 0, false
 	}
+	return c.val[r], true
+}
+
+func (c *constTable) set(r ir.Reg, v int64) {
+	c.val[r] = v
+	c.known.Add(r)
+}
+
+// evalConst evaluates an instruction whose operands are known constants.
+func evalConst(in *ir.Instr, consts *constTable) (int64, bool) {
+	c := consts.get
 	switch in.Op {
 	case ir.Const:
 		return in.Imm, true
@@ -204,23 +220,29 @@ func evalBinary(op ir.Opc, a, b int64) (int64, bool) {
 // copy and the use).
 func copyProp(f *ir.Func) bool {
 	defs := defCount(f)
-	alias := map[ir.Reg]ir.Reg{}
+	// alias[v] is the source v copies, or NoReg.
+	alias := make([]ir.Reg, f.NextReg)
+	for r := range alias {
+		alias[r] = ir.NoReg
+	}
+	nAlias := 0
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if in.Op == ir.Copy && defs[in.Dst] == 1 && in.A != ir.NoReg && defs[in.A] == 1 {
+			if in.Op == ir.Copy && in.Dst != ir.NoReg && defs[in.Dst] == 1 && in.A != ir.NoReg && defs[in.A] == 1 {
 				alias[in.Dst] = in.A
+				nAlias++
 			}
 		}
 	}
-	if len(alias) == 0 {
+	if nAlias == 0 {
 		return false
 	}
 	resolve := func(r ir.Reg) ir.Reg {
 		seen := 0
 		for {
-			a, ok := alias[r]
-			if !ok || seen > len(alias) {
+			a := alias[r]
+			if a == ir.NoReg || seen > nAlias {
 				return r
 			}
 			r = a
@@ -257,11 +279,11 @@ func copyProp(f *ir.Func) bool {
 
 // deadCode removes pure instructions whose results are never used.
 func deadCode(f *ir.Func) bool {
-	used := map[ir.Reg]bool{}
+	used := ir.NewRegSet(f.NextReg)
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			for _, u := range b.Instrs[i].Uses() {
-				used[u] = true
+				used.Add(u)
 			}
 		}
 	}
@@ -271,7 +293,7 @@ func deadCode(f *ir.Func) bool {
 		for i := range b.Instrs {
 			in := b.Instrs[i]
 			d := in.Def()
-			if in.Op.IsPure() && in.Op != ir.Nop && d != ir.NoReg && !used[d] {
+			if in.Op.IsPure() && in.Op != ir.Nop && d != ir.NoReg && !used.Has(d) {
 				changed = true
 				continue
 			}

@@ -26,15 +26,33 @@ func IsCalleeSaved(r isa.Reg) bool {
 // virtual register mentioned in the function is assigned either an
 // architectural register or a spill slot.
 type Allocation struct {
-	// RegOf maps allocated virtual registers to architectural registers.
-	RegOf map[ir.Reg]isa.Reg
-	// SlotOf maps spilled virtual registers to frame word indices (relative
-	// to the spill area, which codegen places after the local-array area).
-	SlotOf map[ir.Reg]int
+	// regOf[v] is virtual register v's architectural register; isa.RegZero,
+	// which is never allocatable, marks a register with none.
+	regOf []isa.Reg
+	// slotOf[v] is v's spill slot, or -1.
+	slotOf []int
 	// NumSlots is the number of spill slots used.
 	NumSlots int
 	// UsedRegs lists the architectural registers the function writes.
 	UsedRegs []isa.Reg
+}
+
+// RegOf returns the architectural register allocated to v, if any.
+func (a *Allocation) RegOf(v ir.Reg) (isa.Reg, bool) {
+	if v < 0 || int(v) >= len(a.regOf) || a.regOf[v] == isa.RegZero {
+		return 0, false
+	}
+	return a.regOf[v], true
+}
+
+// SlotOf returns the spill slot of v, if v was spilled: a frame word index
+// relative to the spill area, which codegen places after the local-array
+// area.
+func (a *Allocation) SlotOf(v ir.Reg) (int, bool) {
+	if v < 0 || int(v) >= len(a.slotOf) || a.slotOf[v] < 0 {
+		return 0, false
+	}
+	return a.slotOf[v], true
 }
 
 // CalleeSavedUsed returns the callee-saved registers the function must
@@ -67,30 +85,34 @@ type interval struct {
 func Allocate(f *ir.Func) *Allocation {
 	live := f.Liveness()
 
-	// Linearize: number instructions block by block in layout order.
+	// Linearize: number instructions block by block in layout order. Block
+	// i occupies positions [bounds[i], bounds[i+1]); callPos is ascending.
 	pos := 0
-	blockStart := map[*ir.Block]int{}
-	blockEnd := map[*ir.Block]int{}
+	bounds := make([]int, len(f.Blocks)+1)
 	var callPos []int
-	for _, b := range f.Blocks {
-		blockStart[b] = pos
-		for i := range b.Instrs {
-			if b.Instrs[i].Op == ir.Call {
-				callPos = append(callPos, pos+i)
+	for i, b := range f.Blocks {
+		bounds[i] = pos
+		for j := range b.Instrs {
+			if b.Instrs[j].Op == ir.Call {
+				callPos = append(callPos, pos+j)
 			}
 		}
 		pos += len(b.Instrs) + 1 // +1 so empty blocks still occupy space
-		blockEnd[b] = pos
 	}
+	bounds[len(f.Blocks)] = pos
 
-	ivals := map[ir.Reg]*interval{}
+	// ivals[v] is v's interval; start -1 marks a register never touched.
+	ivals := make([]interval, f.NextReg)
+	for r := range ivals {
+		ivals[r] = interval{reg: ir.Reg(r), start: -1}
+	}
 	touch := func(r ir.Reg, at int) {
 		if r == ir.NoReg {
 			return
 		}
-		iv, ok := ivals[r]
-		if !ok {
-			ivals[r] = &interval{reg: r, start: at, end: at}
+		iv := &ivals[r]
+		if iv.start < 0 {
+			iv.start, iv.end = at, at
 			return
 		}
 		if at < iv.start {
@@ -100,10 +122,10 @@ func Allocate(f *ir.Func) *Allocation {
 			iv.end = at
 		}
 	}
-	for _, b := range f.Blocks {
-		p := blockStart[b]
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
+	for i, b := range f.Blocks {
+		p := bounds[i]
+		for j := range b.Instrs {
+			in := &b.Instrs[j]
 			for _, u := range in.Uses() {
 				touch(u, p)
 			}
@@ -112,27 +134,23 @@ func Allocate(f *ir.Func) *Allocation {
 			}
 			p++
 		}
-		for r := range live.LiveIn[b] {
-			touch(r, blockStart[b])
-		}
-		for r := range live.LiveOut[b] {
-			touch(r, blockEnd[b])
-		}
+		live.In(b).ForEach(func(r ir.Reg) { touch(r, bounds[i]) })
+		live.Out(b).ForEach(func(r ir.Reg) { touch(r, bounds[i+1]) })
 	}
 	for _, pr := range f.Params {
 		touch(pr, 0)
 	}
-	for _, iv := range ivals {
-		for _, cp := range callPos {
-			if iv.start < cp && cp < iv.end {
-				iv.spansCall = true
-				break
-			}
-		}
-	}
 
 	order := make([]*interval, 0, len(ivals))
-	for _, iv := range ivals {
+	for r := range ivals {
+		iv := &ivals[r]
+		if iv.start < 0 {
+			continue
+		}
+		// The first call after start decides whether one lies strictly
+		// inside the interval.
+		k := sort.SearchInts(callPos, iv.start+1)
+		iv.spansCall = k < len(callPos) && callPos[k] < iv.end
 		order = append(order, iv)
 	}
 	sort.Slice(order, func(i, j int) bool {
@@ -142,7 +160,10 @@ func Allocate(f *ir.Func) *Allocation {
 		return order[i].reg < order[j].reg
 	})
 
-	alloc := &Allocation{RegOf: map[ir.Reg]isa.Reg{}, SlotOf: map[ir.Reg]int{}}
+	alloc := &Allocation{regOf: make([]isa.Reg, f.NextReg), slotOf: make([]int, f.NextReg)}
+	for r := range alloc.slotOf {
+		alloc.slotOf[r] = -1
+	}
 	type active struct {
 		iv  *interval
 		reg isa.Reg
@@ -156,7 +177,7 @@ func Allocate(f *ir.Func) *Allocation {
 			freeCaller = append(freeCaller, r)
 		}
 	}
-	usedSet := map[isa.Reg]bool{}
+	var used [isa.NumRegs]bool
 
 	expire := func(at int) {
 		kept := actives[:0]
@@ -175,15 +196,15 @@ func Allocate(f *ir.Func) *Allocation {
 	}
 
 	spill := func(iv *interval) {
-		alloc.SlotOf[iv.reg] = alloc.NumSlots
+		alloc.slotOf[iv.reg] = alloc.NumSlots
 		alloc.NumSlots++
 	}
 
 	take := func(pool *[]isa.Reg, iv *interval) {
 		r := (*pool)[0]
 		*pool = (*pool)[1:]
-		alloc.RegOf[iv.reg] = r
-		usedSet[r] = true
+		alloc.regOf[iv.reg] = r
+		used[r] = true
 		actives = append(actives, active{iv, r})
 	}
 
@@ -208,8 +229,8 @@ func Allocate(f *ir.Func) *Allocation {
 			if victim >= 0 && actives[victim].iv.end > iv.end {
 				v := actives[victim]
 				spill(v.iv)
-				delete(alloc.RegOf, v.iv.reg)
-				alloc.RegOf[iv.reg] = v.reg
+				alloc.regOf[v.iv.reg] = isa.RegZero
+				alloc.regOf[iv.reg] = v.reg
 				actives[victim] = active{iv, v.reg}
 			} else {
 				spill(iv)
@@ -243,17 +264,18 @@ func Allocate(f *ir.Func) *Allocation {
 		if victim >= 0 && actives[victim].iv.end > iv.end {
 			v := actives[victim]
 			spill(v.iv)
-			delete(alloc.RegOf, v.iv.reg)
-			alloc.RegOf[iv.reg] = v.reg
+			alloc.regOf[v.iv.reg] = isa.RegZero
+			alloc.regOf[iv.reg] = v.reg
 			actives[victim] = active{iv, v.reg}
 		} else {
 			spill(iv)
 		}
 	}
 
-	for r := range usedSet {
-		alloc.UsedRegs = append(alloc.UsedRegs, r)
+	for r, ok := range used {
+		if ok {
+			alloc.UsedRegs = append(alloc.UsedRegs, isa.Reg(r))
+		}
 	}
-	sort.Slice(alloc.UsedRegs, func(i, j int) bool { return alloc.UsedRegs[i] < alloc.UsedRegs[j] })
 	return alloc
 }

@@ -49,14 +49,14 @@ func TestCallSpanningValuesGetCalleeSaved(t *testing.T) {
 		{Op: ir.Ret, A: sink, Dst: ir.NoReg, B: ir.NoReg},
 	}
 	alloc := Allocate(f)
-	if r, ok := alloc.RegOf[spanning]; ok {
+	if r, ok := alloc.RegOf(spanning); ok {
 		if !IsCalleeSaved(r) {
 			t.Errorf("call-spanning value allocated to caller-saved %s", r)
 		}
-	} else if _, spilled := alloc.SlotOf[spanning]; !spilled {
+	} else if _, spilled := alloc.SlotOf(spanning); !spilled {
 		t.Error("call-spanning value neither allocated nor spilled")
 	}
-	if r, ok := alloc.RegOf[local]; ok && IsCalleeSaved(r) {
+	if r, ok := alloc.RegOf(local); ok && IsCalleeSaved(r) {
 		t.Errorf("short-lived value wastes callee-saved %s", r)
 	}
 }
@@ -84,11 +84,11 @@ func TestSpanningOverflowSpills(t *testing.T) {
 	alloc := Allocate(f)
 	spilled := 0
 	for _, v := range vals {
-		if r, ok := alloc.RegOf[v]; ok {
+		if r, ok := alloc.RegOf(v); ok {
 			if !IsCalleeSaved(r) {
 				t.Errorf("spanning value in caller-saved %s would be clobbered", r)
 			}
-		} else if _, ok := alloc.SlotOf[v]; ok {
+		} else if _, ok := alloc.SlotOf(v); ok {
 			spilled++
 		} else {
 			t.Error("value lost by the allocator")

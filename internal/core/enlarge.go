@@ -173,7 +173,11 @@ type enlarger struct {
 	origLibrary map[isa.BlockID]bool
 	// processed guards the worklist.
 	processed map[isa.BlockID]bool
-	stats     Stats
+	// faultFwd records, for each block a symmetric fork removed, the variant
+	// that replaces it as a fault target. Fault targets are rewritten once,
+	// by resolveFaultTargets, before the sweep reads them.
+	faultFwd map[isa.BlockID]isa.BlockID
+	stats    Stats
 }
 
 // Enlarge applies the block enlargement optimization in place to a
@@ -197,6 +201,7 @@ func Enlarge(p *isa.Program, params Params) (*Stats, error) {
 		chain:       map[isa.BlockID][]isa.BlockID{},
 		origLibrary: map[isa.BlockID]bool{},
 		processed:   map[isa.BlockID]bool{},
+		faultFwd:    map[isa.BlockID]isa.BlockID{},
 	}
 	p.Layout()
 	e.stats.OpsBefore = p.StaticOps()
@@ -226,6 +231,7 @@ func Enlarge(p *isa.Program, params Params) (*Stats, error) {
 		work = append(work, created...)
 	}
 
+	e.resolveFaultTargets()
 	e.sweepUnreachable()
 	e.syncTrapTargets()
 	p.Layout()
@@ -673,15 +679,35 @@ func (e *enlarger) replaceInPreds(old isa.BlockID, repl []isa.BlockID, removeOld
 	}
 }
 
-// retargetFaults rewrites fault operations targeting old.
+// retargetFaults records that fault operations targeting old must target
+// repl instead. The rewrite is deferred to resolveFaultTargets: the sweep is
+// the only reader of fault targets during the pass, and once old is
+// retargeted no new fault names it (variants copy existing ops, and only an
+// asymmetric fork, which keeps its block, targets the forked block).
 func (e *enlarger) retargetFaults(old, repl isa.BlockID) {
+	e.faultFwd[old] = repl
+}
+
+// resolveFaultTargets rewrites every fault target through the forwarding
+// chain retargetFaults built (a replacement may itself be forked away
+// later). Chains are short: each link is a variant holding at least one
+// more fault than the block it replaces, and MaxFaults caps that count.
+func (e *enlarger) resolveFaultTargets() {
 	for _, blk := range e.p.Blocks {
 		if blk == nil {
 			continue
 		}
 		for i := range blk.Ops {
-			if blk.Ops[i].Opcode == isa.FAULT && blk.Ops[i].Target == old {
-				blk.Ops[i].Target = repl
+			op := &blk.Ops[i]
+			if op.Opcode != isa.FAULT {
+				continue
+			}
+			for {
+				next, ok := e.faultFwd[op.Target]
+				if !ok {
+					break
+				}
+				op.Target = next
 			}
 		}
 	}

@@ -1,5 +1,10 @@
 package ir
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // ReversePostorder returns the blocks reachable from the entry in reverse
 // postorder of a depth-first search. Unreachable blocks are omitted.
 func (f *Func) ReversePostorder() []*Block {
@@ -110,64 +115,95 @@ func (f *Func) BackEdges() []BackEdge {
 	return edges
 }
 
-// LiveSets holds per-block liveness: LiveIn[b] is the set of virtual
-// registers live on entry to b; LiveOut[b] on exit.
+// RegSet is a bitset over virtual registers.
+type RegSet []uint64
+
+// NewRegSet returns an empty set able to hold registers below n.
+func NewRegSet(n Reg) RegSet { return make(RegSet, regWords(n)) }
+
+func regWords(n Reg) int { return (int(n) + 63) / 64 }
+
+// Has reports whether r is in the set.
+func (s RegSet) Has(r Reg) bool {
+	w := int(r) >> 6
+	return r >= 0 && w < len(s) && s[w]&(1<<(uint(r)&63)) != 0
+}
+
+// Add puts r in the set.
+func (s RegSet) Add(r Reg) { s[r>>6] |= 1 << (uint(r) & 63) }
+
+// ForEach calls fn for every register in the set, in increasing order.
+func (s RegSet) ForEach(fn func(Reg)) {
+	for w, x := range s {
+		for x != 0 {
+			fn(Reg(w<<6 + bits.TrailingZeros64(x)))
+			x &= x - 1
+		}
+	}
+}
+
+// LiveSets holds per-block liveness: In(b) is the set of virtual registers
+// live on entry to b, Out(b) the set live on exit. Sets are indexed by
+// block position, so a block's ID must be its index in Func.Blocks (which
+// Module.Validate enforces).
 type LiveSets struct {
-	LiveIn  map[*Block]map[Reg]bool
-	LiveOut map[*Block]map[Reg]bool
+	words   int
+	in, out []uint64 // one set of words uint64s per block, in block order
+}
+
+// In returns the registers live on entry to b.
+func (ls *LiveSets) In(b *Block) RegSet { return row(ls.in, b.ID, ls.words) }
+
+// Out returns the registers live on exit from b.
+func (ls *LiveSets) Out(b *Block) RegSet { return row(ls.out, b.ID, ls.words) }
+
+// row returns block i's set from a flat array of per-block sets.
+func row(sets []uint64, i, words int) RegSet {
+	return RegSet(sets[i*words : (i+1)*words : (i+1)*words])
 }
 
 // Liveness computes live-in/live-out sets by iterative backward dataflow.
+// Every register the function mentions must be below f.NextReg.
 func (f *Func) Liveness() *LiveSets {
-	f.ComputePreds()
-	ls := &LiveSets{
-		LiveIn:  make(map[*Block]map[Reg]bool, len(f.Blocks)),
-		LiveOut: make(map[*Block]map[Reg]bool, len(f.Blocks)),
+	for i, b := range f.Blocks {
+		if b.ID != i {
+			panic(fmt.Sprintf("ir: Liveness on %s: block at %d has ID %d", f.Name, i, b.ID))
+		}
 	}
-	use := make(map[*Block]map[Reg]bool, len(f.Blocks))
-	def := make(map[*Block]map[Reg]bool, len(f.Blocks))
-	for _, b := range f.Blocks {
-		u, d := map[Reg]bool{}, map[Reg]bool{}
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
+	f.ComputePreds()
+	n, words := len(f.Blocks), regWords(f.NextReg)
+	ls := &LiveSets{words: words, in: make([]uint64, n*words), out: make([]uint64, n*words)}
+	use, def := make([]uint64, n*words), make([]uint64, n*words)
+	for i, b := range f.Blocks {
+		u, d := row(use, i, words), row(def, i, words)
+		for j := range b.Instrs {
+			in := &b.Instrs[j]
 			for _, r := range in.Uses() {
-				if !d[r] {
-					u[r] = true
+				if !d.Has(r) {
+					u.Add(r)
 				}
 			}
 			if dr := in.Def(); dr != NoReg {
-				d[dr] = true
+				d.Add(dr)
 			}
 		}
-		use[b], def[b] = u, d
-		ls.LiveIn[b] = map[Reg]bool{}
-		ls.LiveOut[b] = map[Reg]bool{}
 	}
 	changed := true
 	for changed {
 		changed = false
-		// Backward order converges faster; any order is correct.
-		for i := len(f.Blocks) - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			out := ls.LiveOut[b]
-			for _, s := range b.Succs {
-				for r := range ls.LiveIn[s] {
-					if !out[r] {
-						out[r] = true
-						changed = true
-					}
+		// Backward order converges faster; any order is correct. Out only
+		// feeds this block's In, so a pass that changes no In is final.
+		for i := n - 1; i >= 0; i-- {
+			out := row(ls.out, i, words)
+			for _, s := range f.Blocks[i].Succs {
+				for w, x := range row(ls.in, s.ID, words) {
+					out[w] |= x
 				}
 			}
-			in := ls.LiveIn[b]
-			for r := range use[b] {
-				if !in[r] {
-					in[r] = true
-					changed = true
-				}
-			}
-			for r := range out {
-				if !def[b][r] && !in[r] {
-					in[r] = true
+			in, u, d := row(ls.in, i, words), row(use, i, words), row(def, i, words)
+			for w := range in {
+				if nw := u[w] | out[w]&^d[w]; nw != in[w] {
+					in[w] = nw
 					changed = true
 				}
 			}

@@ -77,6 +77,7 @@ func TestErrorCodeMapping(t *testing.T) {
 		{fmt.Errorf("x: %w", ErrBadProgram), "bad_program"},
 		{fmt.Errorf("x: %w", ErrBadGeometry), "bad_geometry"},
 		{fmt.Errorf("x: %w", ErrBadSweep), "bad_sweep"},
+		{fmt.Errorf("x: %w", ErrTooLarge), "too_large"},
 		{fmt.Errorf("x: %w", ErrBadRequest), "bad_request"},
 		{errDraining, "unavailable"},
 		{errQueueFull, "unavailable"},

@@ -29,6 +29,8 @@ var (
 	ErrBadGeometry = newBadRequest("bad machine geometry")
 	// ErrBadSweep marks a malformed sweep spec.
 	ErrBadSweep = newBadRequest("bad sweep spec")
+	// ErrTooLarge marks a request body over maxRequestBytes.
+	ErrTooLarge = newBadRequest("request body too large")
 )
 
 // badRequestError is a sentinel that also matches ErrBadRequest.
@@ -58,6 +60,8 @@ func ErrorCode(err error) string {
 		return "bad_geometry"
 	case errors.Is(err, ErrBadSweep):
 		return "bad_sweep"
+	case errors.Is(err, ErrTooLarge):
+		return "too_large"
 	case errors.Is(err, ErrBadRequest):
 		return "bad_request"
 	case errors.Is(err, errDraining), errors.Is(err, errQueueFull):

@@ -11,8 +11,10 @@ package svc
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
 
 	"bsisa/internal/stats"
 	"bsisa/internal/uarch"
@@ -162,9 +164,10 @@ type SimResponse struct {
 	// Error is set (and Results/Table unset) when the job failed.
 	Error string `json:"error,omitempty"`
 	// ErrorCode is the machine-readable class of Error: "bad_version",
-	// "bad_program", "bad_geometry", "bad_sweep", "bad_request",
-	// "unavailable", "timeout", "canceled", or "internal". Empty on success
-	// (schema-additive; classify with it instead of parsing Error text).
+	// "bad_program", "bad_geometry", "bad_sweep", "too_large",
+	// "bad_request", "unavailable", "timeout", "canceled", or "internal".
+	// Empty on success (schema-additive; classify with it instead of
+	// parsing Error text).
 	ErrorCode string `json:"error_code,omitempty"`
 	// Engine reports which timing path ran: "sweep" (the unified multi-axis
 	// single-pass engine, a single config included), "replay-segmented"
@@ -272,15 +275,24 @@ func ResultOf(icacheBytes int, r *uarch.Result) SimResult {
 	}
 }
 
+// maxRequestBytes caps a request body; the server answers HTTP 413 beyond
+// it. The largest generated workload source is about 212 KB, so real
+// requests sit far below the cap.
+const maxRequestBytes = 8 << 20
+
 // DecodeRequest reads one SimRequest from r with strict decoding: unknown
 // fields are rejected (DisallowUnknownFields), trailing garbage is rejected,
 // and the schema version must match. Failures wrap ErrBadRequest (and
-// ErrBadVersion for version mismatches).
+// ErrBadVersion for version mismatches, ErrTooLarge when r is an
+// http.MaxBytesReader that hit its limit).
 func DecodeRequest(r io.Reader) (*SimRequest, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var req SimRequest
 	if err := dec.Decode(&req); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			return nil, fmt.Errorf("%w: over %d bytes", ErrTooLarge, tooBig.Limit)
+		}
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	if dec.More() {

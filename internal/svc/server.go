@@ -197,9 +197,13 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
-	req, err := DecodeRequest(r.Body)
+	req, err := DecodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
-		s.reject(w, "", http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		if errors.Is(err, ErrTooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.reject(w, "", status, err)
 		return
 	}
 	plan, err := BuildConfig(req)

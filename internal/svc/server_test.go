@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -250,6 +251,40 @@ func TestServerRejectsBadRequests(t *testing.T) {
 				t.Fatal("400 envelope carries no error text")
 			}
 		})
+	}
+}
+
+// TestServerRejectsOversizedBody sends a syntactically valid request whose
+// source field pushes the body past the cap, and expects 413 with the
+// too_large code before any compile starts.
+func TestServerRejectsOversizedBody(t *testing.T) {
+	s, ts := testServer(t, quietConfig())
+	src := strings.Repeat("// padding\n", maxRequestBytes/11+1) + "func main() { out(1); }\n"
+	blob, err := json.Marshal(&SimRequest{
+		Version: SchemaVersion,
+		Program: ProgramSpec{Source: src, ISA: "conv"},
+		Config:  &ConfigSpec{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpResp, err := http.Post(ts.URL+"/v1/sim", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer httpResp.Body.Close()
+	if httpResp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", httpResp.StatusCode)
+	}
+	var resp SimResponse
+	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.ErrorCode != "too_large" {
+		t.Fatalf("error_code %q, want too_large (error: %s)", resp.ErrorCode, resp.Error)
+	}
+	if got := s.metrics.jobsRejected.Load(); got != 1 {
+		t.Fatalf("rejections %d, want 1", got)
 	}
 }
 
