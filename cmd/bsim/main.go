@@ -158,7 +158,9 @@ func parseIntList(flagName, list string) ([]int, error) {
 // sweepGrid is the trace-once path: one functional emulation records the
 // committed-block trace, then every point of the icache-size x history-length
 // grid is timed from it — through the unified multi-axis sweep engine when
-// the grid qualifies (uarch.CanSweep), falling back to one replay per point.
+// the grid qualifies (uarch.CanSweep and CanSweepKind, the routing rule the
+// harness and bsimd share; a grid of one included), falling back to one
+// replay per point.
 // An omitted axis is pinned at its base value (-icache, or the default
 // predictor), so single-axis sweeps are the degenerate grids.
 func sweepGrid(prog *isa.Program, emuCfg emu.Config, sizeList, histList string, icache int, perfectBP bool, quiet *bool) error {
@@ -199,7 +201,7 @@ func sweepGrid(prog *isa.Program, emuCfg emu.Config, sizeList, histList string, 
 		}
 	}
 	var results []*uarch.Result
-	if ok, _ := uarch.CanSweep(cfgs); ok && len(cfgs) > 1 && uarch.CanSweepKind(prog.Kind) {
+	if ok, _ := uarch.CanSweep(cfgs); ok && uarch.CanSweepKind(prog.Kind) {
 		fmt.Printf("trace:             %d blocks recorded (%d KB), fused multi-axis sweep over %d configs\n",
 			tr.NumEvents(), tr.Footprint()/1024, len(cfgs))
 		results, err = uarch.Sweep(tr, cfgs, 0)

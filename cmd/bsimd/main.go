@@ -8,8 +8,7 @@
 //
 //	bsimd [-addr :8023] [-workers N] [-queue N] [-job-workers N]
 //	      [-timeout D] [-cache-programs N] [-cache-traces N]
-//	      [-cache-predecodes N] [-store DIR] [-store-max-bytes N]
-//	      [-log text|json] [-smoke]
+//	      [-store DIR] [-store-max-bytes N] [-log text|json] [-smoke]
 //
 // Endpoints:
 //
@@ -28,14 +27,16 @@
 // are answered from the leader's envelope with "coalesced": true and counted
 // in bsimd_coalesced_requests_total.
 //
+// A cached program carries its predecoded op tables, one per issue width,
+// built on the first sweep that needs them and dropped with the program.
+//
 // -store DIR layers a persistent content-addressed trace store under the
-// in-memory caches: recorded traces (and their predecoded op tables) are
-// written through to DIR, and a restarted daemon pointed at the same DIR
-// serves them back without re-recording — hit/miss/corruption counts and
-// byte traffic appear on /metrics as bsimd_store_events_total and
-// bsimd_store_bytes_total. Store hits are mmapped read-only and replayed
-// straight out of the page cache (zero decode, zero steady-state
-// allocation). Mapping traffic and resident bytes appear as
+// in-memory caches: recorded traces are written through to DIR, and a
+// restarted daemon pointed at the same DIR serves them back without
+// re-recording — hit/miss/corruption counts and byte traffic appear on
+// /metrics as bsimd_store_events_total and bsimd_store_bytes_total. Store
+// hits are mmapped read-only and replayed straight out of the page cache
+// (zero decode, zero steady-state allocation). Mapping traffic and resident bytes appear as
 // bsimd_store_mmap_events_total and bsimd_store_mmap_resident_bytes.
 // Corrupt or truncated files, and files in a superseded format version,
 // are detected at validation, quarantined aside as *.corrupt, and
@@ -80,7 +81,6 @@ func main() {
 	timeout := flag.Duration("timeout", 5*time.Minute, "default per-job deadline (0 = none)")
 	cacheProgs := flag.Int("cache-programs", 0, "compiled-program cache entries (0 = default)")
 	cacheTraces := flag.Int("cache-traces", 0, "recorded-trace cache entries (0 = default)")
-	cachePre := flag.Int("cache-predecodes", 0, "predecoded-op-table cache entries (0 = default)")
 	storeDir := flag.String("store", "", "persistent trace store directory (empty = in-memory only)")
 	storeMax := flag.Int64("store-max-bytes", 0,
 		"evict least-recently-used store files once the directory exceeds this many bytes (0 = unbounded)")
@@ -101,14 +101,13 @@ func main() {
 	logger := slog.New(handler)
 
 	cfg := svc.ServerConfig{
-		Workers:               *workers,
-		QueueDepth:            *queue,
-		JobWorkers:            *jobWorkers,
-		DefaultTimeout:        *timeout,
-		ProgramCacheEntries:   *cacheProgs,
-		TraceCacheEntries:     *cacheTraces,
-		PredecodeCacheEntries: *cachePre,
-		Logger:                logger,
+		Workers:             *workers,
+		QueueDepth:          *queue,
+		JobWorkers:          *jobWorkers,
+		DefaultTimeout:      *timeout,
+		ProgramCacheEntries: *cacheProgs,
+		TraceCacheEntries:   *cacheTraces,
+		Logger:              logger,
 	}
 	if *storeDir != "" {
 		store, err := svc.NewStore(*storeDir)

@@ -39,13 +39,13 @@ import (
 // other unknown version — to ErrBadTrace — so a store holding such a file
 // quarantines it and re-records the trace.
 //
-// Aux sections are opaque tagged payloads with strictly increasing tags; the
-// store puts one predecoded-op-table blob (uarch) here per issue width,
-// tagged by the width. Encoding is deterministic, so Encode∘Decode∘Encode is
-// byte-identical. Every decode failure — bad magic, unknown version,
-// checksum mismatch, truncation, or a stream that does not match the
-// supplied program — wraps ErrBadTrace; corrupt bytes never panic and never
-// yield a partially filled trace.
+// Aux sections are opaque tagged payloads with strictly increasing tags.
+// The service writes none, but files from older releases that carry
+// predecoded-op-table blobs here still decode. Encoding is deterministic,
+// so Encode∘Decode∘Encode is byte-identical. Every decode failure — bad
+// magic, unknown version, checksum mismatch, truncation, or a stream that
+// does not match the supplied program — wraps ErrBadTrace; corrupt bytes
+// never panic and never yield a partially filled trace.
 
 // ErrBadTrace is wrapped by every DecodeTrace failure, so stores classify
 // corrupt-vs-mismatched files with errors.Is instead of parsing messages.
@@ -66,9 +66,7 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // AuxSection is one opaque tagged payload riding along with an encoded
-// trace. The trace store keys predecoded-op-table blobs by issue width
-// (Tag = width), one section per width, so attaching a new width never
-// clobbers another width's table.
+// trace.
 type AuxSection struct {
 	Tag  uint64
 	Data []byte

@@ -95,8 +95,7 @@ func (l v3Layout) columns(data []byte) [v3NumCols][]byte {
 
 // EncodeBytes serializes the trace (and any aux sections) into a fresh
 // checksummed buffer in the fixed-stride layout. Section tags must be
-// strictly increasing — the canonical form DecodeTrace enforces;
-// Store.AttachAux maintains it.
+// strictly increasing — the canonical form DecodeTrace enforces.
 func (t *Trace) EncodeBytes(aux []AuxSection) []byte {
 	l, err := v3LayoutFor(uint64(len(t.blocks)), uint64(len(t.memCnt)), uint64(len(t.mem)), 1<<62)
 	if err != nil {

@@ -58,7 +58,7 @@ type refcounted interface {
 }
 
 // tryRefVal takes a reference on refcounted values; plain values (compiled
-// programs, predecode tables — ordinary GC-managed heap) always succeed.
+// programs — ordinary GC-managed heap) always succeed.
 func tryRefVal(v any) bool {
 	r, ok := v.(refcounted)
 	return !ok || r.tryRef()
@@ -215,11 +215,4 @@ func programKey(p ProgramSpec) string {
 // budget (the committed stream depends on both, and nothing else).
 func traceKey(progKey string, emuMaxOps int64) string {
 	return fmt.Sprintf("%s/emu=%d", progKey, emuMaxOps)
-}
-
-// predecodeKey derives the predecoded-op-table artifact key: the program plus
-// the effective issue width (the lane split depends on both, and nothing
-// else — per-geometry cache-line splits are applied on copies downstream).
-func predecodeKey(progKey string, issueWidth int) string {
-	return fmt.Sprintf("%s/iw=%d", progKey, issueWidth)
 }

@@ -530,7 +530,8 @@ func TestFollowerRetriesLeaderLifetimeOutcome(t *testing.T) {
 }
 
 // TestServerPredecodeCache requires repeated sweeps over one program to reuse
-// the predecoded op tables, and the reuse to be reported in the envelope.
+// the program artifact's predecoded op tables, and the reuse to be reported
+// in the envelope and the memo counters.
 func TestServerPredecodeCache(t *testing.T) {
 	s, ts := testServer(t, quietConfig())
 	seed := int64(11)
@@ -560,7 +561,7 @@ func TestServerPredecodeCache(t *testing.T) {
 			t.Fatalf("result %d diverges across the predecode cache hit", i)
 		}
 	}
-	if pc := s.predecodes.counters(); pc.Misses != 1 || pc.Hits < 1 {
-		t.Fatalf("predecode cache counters %+v, want 1 miss and >= 1 hit", pc)
+	if hits, misses := s.metrics.predecodeHits.Load(), s.metrics.predecodeMisses.Load(); misses != 1 || hits < 1 {
+		t.Fatalf("predecode memo counters: %d hits, %d misses; want 1 miss and >= 1 hit", hits, misses)
 	}
 }

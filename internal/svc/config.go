@@ -121,6 +121,11 @@ func BuildConfig(req *SimRequest) (*Plan, error) {
 	return plan, nil
 }
 
+// maxSweepPoints caps a sweep grid. Every axis comes from the client and the
+// grid is their cross product, so a few short axes can ask for millions of
+// points; the paper's and the benchmark's grids have at most 16.
+const maxSweepPoints = 4096
+
 // buildSweep expands a SweepSpec into the plan's configuration grid: the
 // cross product of every set axis over the shared base machine, in
 // axis-major order (history outermost, then PHT entries, then BTB sets, then
@@ -132,6 +137,17 @@ func buildSweep(plan *Plan, sw *SweepSpec) error {
 	hasPred := len(sw.HistoryBits) > 0 || len(sw.PHTEntries) > 0 || len(sw.BTBSets) > 0
 	if len(sw.ICacheSizes) == 0 && !hasPred {
 		return fmt.Errorf("%w: no icache sizes", ErrBadSweep)
+	}
+	// Size the grid before building any of it; an unset axis is one point.
+	// Testing n against maxSweepPoints/points keeps the product from
+	// overflowing.
+	points := 1
+	for _, n := range []int{len(sw.HistoryBits), len(sw.PHTEntries), len(sw.BTBSets), len(sw.ICacheSizes)} {
+		n = max(n, 1)
+		if n > maxSweepPoints/points {
+			return fmt.Errorf("%w: grid exceeds %d points", ErrBadSweep, maxSweepPoints)
+		}
+		points *= n
 	}
 	base := ConfigSpec{}
 	if sw.Base != nil {

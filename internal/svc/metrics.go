@@ -63,6 +63,8 @@ type metrics struct {
 
 	traceRecords atomic.Int64 // traces actually recorded (cache+store misses)
 
+	predecodeHits, predecodeMisses atomic.Int64 // program artifacts' predecode memo lookups
+
 	stages map[string]*histogram
 }
 
@@ -81,6 +83,15 @@ func (m *metrics) observeStage(stage string, d time.Duration) {
 	}
 }
 
+// countPredecode records one predecode memo lookup.
+func (m *metrics) countPredecode(hit bool) {
+	if hit {
+		m.predecodeHits.Add(1)
+	} else {
+		m.predecodeMisses.Add(1)
+	}
+}
+
 // segObserver adapts the metrics to uarch.SegmentObserver: the segment-queue
 // depth gauge tracks lanes waiting for a worker, and every finished lane
 // lands in the per-segment latency histogram. One observer serves every
@@ -92,10 +103,10 @@ func (o segObserver) SegmentStart()               { o.m.segQueued.Add(-1) }
 func (o segObserver) SegmentDone(d time.Duration) { o.m.segDone.Add(1); o.m.segDuration.observe(d) }
 
 // writeProm renders the Prometheus text exposition format.
-// programs/traces/predecodes carry the artifact cache counters snapshotted by
-// the caller; store carries the persistent-store counters, or nil when the
+// programs/traces carry the artifact cache counters snapshotted by the
+// caller; store carries the persistent-store counters, or nil when the
 // server runs without a store (the store series are then omitted entirely).
-func (m *metrics) writeProm(w io.Writer, programs, traces, predecodes cacheCounters, store *storeCounters) {
+func (m *metrics) writeProm(w io.Writer, programs, traces cacheCounters, store *storeCounters) {
 	gauge := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
@@ -139,21 +150,24 @@ func (m *metrics) writeProm(w io.Writer, programs, traces, predecodes cacheCount
 			"Bytes of trace files currently mmapped by in-flight or cached replays.", store.ResidentBytes)
 	}
 
+	// The predecode memo lives on the program artifact and leaves with it, so
+	// it has no evictions or resident count of its own.
 	fmt.Fprintf(w, "# HELP bsimd_artifact_cache_events_total Artifact cache hits/misses/evictions by cache.\n")
 	fmt.Fprintf(w, "# TYPE bsimd_artifact_cache_events_total counter\n")
 	for _, c := range []struct {
 		name string
 		c    cacheCounters
-	}{{"program", programs}, {"trace", traces}, {"predecode", predecodes}} {
+	}{{"program", programs}, {"trace", traces}} {
 		fmt.Fprintf(w, "bsimd_artifact_cache_events_total{cache=%q,event=\"hit\"} %d\n", c.name, c.c.Hits)
 		fmt.Fprintf(w, "bsimd_artifact_cache_events_total{cache=%q,event=\"miss\"} %d\n", c.name, c.c.Misses)
 		fmt.Fprintf(w, "bsimd_artifact_cache_events_total{cache=%q,event=\"eviction\"} %d\n", c.name, c.c.Evictions)
 	}
+	fmt.Fprintf(w, "bsimd_artifact_cache_events_total{cache=\"predecode\",event=\"hit\"} %d\n", m.predecodeHits.Load())
+	fmt.Fprintf(w, "bsimd_artifact_cache_events_total{cache=\"predecode\",event=\"miss\"} %d\n", m.predecodeMisses.Load())
 	fmt.Fprintf(w, "# HELP bsimd_artifact_cache_entries Artifact cache resident entries by cache.\n")
 	fmt.Fprintf(w, "# TYPE bsimd_artifact_cache_entries gauge\n")
 	fmt.Fprintf(w, "bsimd_artifact_cache_entries{cache=\"program\"} %d\n", programs.Entries)
 	fmt.Fprintf(w, "bsimd_artifact_cache_entries{cache=\"trace\"} %d\n", traces.Entries)
-	fmt.Fprintf(w, "bsimd_artifact_cache_entries{cache=\"predecode\"} %d\n", predecodes.Entries)
 
 	fmt.Fprintf(w, "# HELP bsimd_segment_seconds Per-segment lane replay latency.\n")
 	fmt.Fprintf(w, "# TYPE bsimd_segment_seconds histogram\n")

@@ -2,6 +2,7 @@ package svc
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"bsisa/internal/backend"
@@ -22,17 +23,38 @@ const (
 	engineMany      = "simulate-many"
 )
 
-// builtProgram is the program artifact cached across requests.
+// builtProgram is the program artifact cached across requests. It also
+// memoizes the program's predecoded op tables, one per issue width: they
+// are derived from the program alone, so they live and leave with it and
+// are never persisted.
 type builtProgram struct {
 	prog    *isa.Program
 	enlarge *core.Stats // backend shaping-pass stats; nil for shapeless backends
+
+	mu  sync.Mutex
+	pre map[int]*uarch.Predecoded // issue width -> tables
 }
 
-// cachedTrace is the trace artifact cached across requests: the trace itself
-// plus, when it was loaded from the persistent store, the file's aux sections
-// (encoded predecoded-op-tables, one per issue width a previous process
-// attached, tagged by width). Immutable after construction — the predecode
-// write-through updates the file, not this struct, so readers never race.
+// predecode returns the program's predecoded tables for issue width iw,
+// flattening them on first use; hit reports whether the memo already held
+// them. The lock is held across the flatten so concurrent jobs on one
+// program build each width once.
+func (bp *builtProgram) predecode(iw int) (pre *uarch.Predecoded, hit bool) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	if pre, ok := bp.pre[iw]; ok {
+		return pre, true
+	}
+	if bp.pre == nil {
+		bp.pre = make(map[int]*uarch.Predecoded)
+	}
+	pre = uarch.Predecode(bp.prog, iw)
+	bp.pre[iw] = pre
+	return pre, false
+}
+
+// cachedTrace is the trace artifact cached across requests. Immutable after
+// construction.
 //
 // A store-mapped trace (mapped != nil) aliases read-only mmapped pages; the
 // refcounted hooks forward to the mapping so the artifact cache and every
@@ -40,7 +62,6 @@ type builtProgram struct {
 // the last of them releases.
 type cachedTrace struct {
 	tr        *emu.Trace
-	aux       []emu.AuxSection
 	fromStore bool
 	mapped    *emu.TraceMapping // non-nil when served from the store's mmap tier
 }
@@ -104,9 +125,8 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	}
 	bp := pv.(*builtProgram)
 
-	// Timing engine: chosen before the trace is fetched, so a sweep job that
-	// records the trace can persist it together with its predecode. Segmented
-	// replay runs only on request, and only with workers to spend.
+	// Timing engine. Segmented replay runs only on request, and only with
+	// workers to spend.
 	engine, stage := engineMany, stageReplay
 	sweepable, _ := uarch.CanSweep(plan.Configs)
 	switch {
@@ -116,8 +136,6 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 		engine, stage = engineSweep, stageSweep
 	}
 	resp.Engine = engine
-	iw := plan.Configs[0].EffectiveIssueWidth()
-	var recordedPre *uarch.Predecoded // flattened alongside a fresh recording
 
 	// Trace artifact: record the committed stream once per program+budget. A
 	// configured store interposes on the miss path: load-and-validate from
@@ -128,7 +146,7 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	tv, traceHit, err := s.traces.do(tKey, func() (any, error) {
 		if st := s.cfg.Store; st != nil {
 			if mt, ok := st.LoadTraceMapped(tKey, bp.prog, plan.EmuCfg); ok {
-				return &cachedTrace{tr: mt.Trace(), aux: mt.Aux(), fromStore: true, mapped: mt}, nil
+				return &cachedTrace{tr: mt.Trace(), fromStore: true, mapped: mt}, nil
 			}
 		}
 		t0 := time.Now()
@@ -139,14 +157,7 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 		}
 		s.metrics.traceRecords.Add(1)
 		if st := s.cfg.Store; st != nil {
-			// A sweep job writes its predecode into the same file: one
-			// fsynced write instead of a save followed by an aux attach.
-			var aux []emu.AuxSection
-			if engine == engineSweep {
-				recordedPre = uarch.Predecode(bp.prog, iw)
-				aux = []emu.AuxSection{{Tag: uint64(iw), Data: recordedPre.EncodeBytes()}}
-			}
-			if serr := st.SaveTrace(tKey, tr, aux); serr != nil {
+			if serr := st.SaveTrace(tKey, tr, nil); serr != nil {
 				s.cfg.Logger.Warn("trace store write failed", "key", tKey, "err", serr.Error())
 			}
 		}
@@ -162,42 +173,12 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	defer ct.unref()
 	tr := ct.tr
 
-	// Predecode artifact: the sweep engine flattens the program into
-	// per-lane op tables before walking the trace; share that flattening
-	// across requests (it depends only on program + issue width). With a
-	// store, the trace file carries one aux section per issue width across
-	// restarts: reuse the table this job saved with its recording, decode
-	// the matching section when present, and attach a freshly flattened
-	// table for this width otherwise (sections for other widths are
-	// preserved).
+	// The sweep engine schedules over the program's predecoded tables.
 	var pre *uarch.Predecoded
 	preHit := false
 	if engine == engineSweep {
-		prv, hit, perr := s.predecodes.do(predecodeKey(progKey, iw), func() (any, error) {
-			if recordedPre != nil {
-				return recordedPre, nil
-			}
-			for _, sec := range ct.aux {
-				if sec.Tag != uint64(iw) {
-					continue
-				}
-				if dec, derr := uarch.DecodePredecoded(sec.Data, bp.prog); derr == nil && dec.IssueWidth() == iw {
-					return dec, nil
-				}
-				break // stale payload under this width's tag: reflatten and overwrite it
-			}
-			fresh := uarch.Predecode(bp.prog, iw)
-			if st := s.cfg.Store; st != nil {
-				sec := emu.AuxSection{Tag: uint64(iw), Data: fresh.EncodeBytes()}
-				if serr := st.AttachAux(tKey, tr, sec); serr != nil {
-					s.cfg.Logger.Warn("trace store aux write failed", "key", tKey, "err", serr.Error())
-				}
-			}
-			return fresh, nil
-		})
-		if perr == nil {
-			pre, preHit = prv.(*uarch.Predecoded), hit
-		}
+		pre, preHit = bp.predecode(plan.Configs[0].EffectiveIssueWidth())
+		s.metrics.countPredecode(preHit)
 	}
 	resp.ArtifactCache = &ArtifactHits{
 		Program: progHit, Trace: traceHit, Predecode: preHit,

@@ -189,9 +189,10 @@ type SimResponse struct {
 	Table *Table `json:"table,omitempty"`
 }
 
-// ArtifactHits reports per-job artifact cache outcomes. Predecode is only
-// meaningful on jobs routed to a fused sweep engine (the only consumers of
-// predecoded tables). Store marks a trace that came off the persistent store
+// ArtifactHits reports per-job artifact cache outcomes. Predecode marks that
+// the program artifact's memo already held the predecoded tables for the
+// job's issue width; it is only meaningful on jobs routed to the sweep
+// engine (the only consumer of predecoded tables). Store marks a trace that came off the persistent store
 // rather than being recorded by this process (schema-additive; always false
 // when the server runs without a store). Mmap further marks a store-served
 // trace that replays zero-copy off read-only mmapped pages of a v3 file

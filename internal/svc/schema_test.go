@@ -8,22 +8,25 @@ import (
 	"bsisa/internal/uarch"
 )
 
+// decodeCases are raw request bodies and the decode outcome each must have;
+// FuzzRequest seeds its corpus from them.
+var decodeCases = []struct {
+	name string
+	body string
+	want error // nil means the decode must succeed
+}{
+	{"minimal sim", `{"version":2,"program":{"seed":7,"isa":"conv"},"config":{}}`, nil},
+	{"minimal sweep", `{"version":2,"program":{"workload":"compress","isa":"bsa"},"sweep":{"icache_sizes":[0,8192]}}`, nil},
+	{"unknown top-level field", `{"version":2,"prorgam":{}}`, ErrBadRequest},
+	{"unknown nested field", `{"version":2,"program":{"isa":"conv","sede":7}}`, ErrBadRequest},
+	{"trailing data", `{"version":2,"program":{"seed":7,"isa":"conv"},"config":{}} {"x":1}`, ErrBadRequest},
+	{"missing version", `{"program":{"seed":7,"isa":"conv"},"config":{}}`, ErrBadVersion},
+	{"future version", `{"version":99,"program":{"seed":7,"isa":"conv"},"config":{}}`, ErrBadVersion},
+	{"not json", `hello`, ErrBadRequest},
+}
+
 func TestDecodeRequestStrict(t *testing.T) {
-	cases := []struct {
-		name string
-		body string
-		want error // nil means the decode must succeed
-	}{
-		{"minimal sim", `{"version":2,"program":{"seed":7,"isa":"conv"},"config":{}}`, nil},
-		{"minimal sweep", `{"version":2,"program":{"workload":"compress","isa":"bsa"},"sweep":{"icache_sizes":[0,8192]}}`, nil},
-		{"unknown top-level field", `{"version":2,"prorgam":{}}`, ErrBadRequest},
-		{"unknown nested field", `{"version":2,"program":{"isa":"conv","sede":7}}`, ErrBadRequest},
-		{"trailing data", `{"version":2,"program":{"seed":7,"isa":"conv"},"config":{}} {"x":1}`, ErrBadRequest},
-		{"missing version", `{"program":{"seed":7,"isa":"conv"},"config":{}}`, ErrBadVersion},
-		{"future version", `{"version":99,"program":{"seed":7,"isa":"conv"},"config":{}}`, ErrBadVersion},
-		{"not json", `hello`, ErrBadRequest},
-	}
-	for _, tc := range cases {
+	for _, tc := range decodeCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := DecodeRequest(strings.NewReader(tc.body))
 			if tc.want == nil {
@@ -56,85 +59,89 @@ func seedReq(mutate func(*SimRequest)) *SimRequest {
 	return req
 }
 
+// buildConfigCases mutate seedReq into a request BuildConfig must accept
+// (want nil) or reject with the wanted sentinel; FuzzRequest seeds its
+// corpus from them.
+var buildConfigCases = []struct {
+	name   string
+	mutate func(*SimRequest)
+	want   error
+}{
+	{"ok", nil, nil},
+	{"wrong version", func(r *SimRequest) { r.Version = 1 }, ErrBadVersion},
+	{"no program source", func(r *SimRequest) { r.Program.Seed = nil }, ErrBadProgram},
+	{"two program sources", func(r *SimRequest) { r.Program.Workload = "compress" }, ErrBadProgram},
+	{"unknown workload", func(r *SimRequest) {
+		r.Program.Seed = nil
+		r.Program.Workload = "specfp"
+	}, ErrBadProgram},
+	{"unknown isa", func(r *SimRequest) { r.Program.ISA = "vliw" }, ErrBadProgram},
+	{"scale without workload", func(r *SimRequest) { r.Program.Scale = 0.5 }, ErrBadProgram},
+	{"enlarge on conventional", func(r *SimRequest) { r.Program.Enlarge = &EnlargeSpec{MaxOps: 100} }, ErrBadProgram},
+	{"negative emu budget", func(r *SimRequest) { r.EmuMaxOps = -1 }, ErrBadRequest},
+	{"negative timeout", func(r *SimRequest) { r.TimeoutMs = -5 }, ErrBadRequest},
+	{"neither config nor sweep", func(r *SimRequest) { r.Config = nil }, ErrBadRequest},
+	{"both config and sweep", func(r *SimRequest) {
+		r.Sweep = &SweepSpec{ICacheSizes: []int{0}}
+	}, ErrBadRequest},
+	{"bad geometry", func(r *SimRequest) {
+		r.Config = &ConfigSpec{ICache: &CacheSpec{SizeBytes: 3000, Ways: 4}}
+	}, ErrBadGeometry},
+	{"negative issue width", func(r *SimRequest) {
+		r.Config = &ConfigSpec{IssueWidth: -2}
+	}, ErrBadGeometry},
+	{"empty sweep", func(r *SimRequest) {
+		r.Config = nil
+		r.Sweep = &SweepSpec{}
+	}, ErrBadSweep},
+	{"negative sweep size", func(r *SimRequest) {
+		r.Config = nil
+		r.Sweep = &SweepSpec{ICacheSizes: []int{-1}}
+	}, ErrBadSweep},
+	{"bad sweep geometry", func(r *SimRequest) {
+		r.Config = nil
+		r.Sweep = &SweepSpec{ICacheSizes: []int{3000}}
+	}, ErrBadSweep},
+	{"multi-axis sweep over perfect prediction", func(r *SimRequest) {
+		r.Config = nil
+		r.Sweep = &SweepSpec{HistoryBits: []int{2, 4}, Base: &ConfigSpec{PerfectBP: true}}
+	}, ErrBadSweep},
+	{"multi-axis sweep negative history", func(r *SimRequest) {
+		r.Config = nil
+		r.Sweep = &SweepSpec{HistoryBits: []int{-2}, ICacheSizes: []int{8192}}
+	}, ErrBadSweep},
+	// Predictor-only sweeps: a SweepSpec with predictor axes and no
+	// icache sizes.
+	{"both config and pred sweep", func(r *SimRequest) {
+		r.Sweep = &SweepSpec{HistoryBits: []int{2, 4}}
+	}, ErrBadRequest},
+	{"pred sweep with no axis", func(r *SimRequest) {
+		r.Config = nil
+		r.Sweep = &SweepSpec{Base: &ConfigSpec{Predictor: &PredictorSpec{HistoryBits: 4}}}
+	}, ErrBadSweep},
+	{"negative pred sweep axis", func(r *SimRequest) {
+		r.Config = nil
+		r.Sweep = &SweepSpec{PHTEntries: []int{-2}}
+	}, ErrBadSweep},
+	{"pred sweep history beyond BHR", func(r *SimRequest) {
+		r.Config = nil
+		r.Sweep = &SweepSpec{HistoryBits: []int{40}}
+	}, ErrBadSweep},
+	{"pred sweep non-power-of-two PHT", func(r *SimRequest) {
+		r.Config = nil
+		r.Sweep = &SweepSpec{PHTEntries: []int{3000}}
+	}, ErrBadSweep},
+	{"pred sweep over perfect prediction", func(r *SimRequest) {
+		r.Config = nil
+		r.Sweep = &SweepSpec{
+			BTBSets: []int{256, 512},
+			Base:    &ConfigSpec{PerfectBP: true},
+		}
+	}, ErrBadSweep},
+}
+
 func TestBuildConfigTypedErrors(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(*SimRequest)
-		want   error
-	}{
-		{"ok", nil, nil},
-		{"wrong version", func(r *SimRequest) { r.Version = 1 }, ErrBadVersion},
-		{"no program source", func(r *SimRequest) { r.Program.Seed = nil }, ErrBadProgram},
-		{"two program sources", func(r *SimRequest) { r.Program.Workload = "compress" }, ErrBadProgram},
-		{"unknown workload", func(r *SimRequest) {
-			r.Program.Seed = nil
-			r.Program.Workload = "specfp"
-		}, ErrBadProgram},
-		{"unknown isa", func(r *SimRequest) { r.Program.ISA = "vliw" }, ErrBadProgram},
-		{"scale without workload", func(r *SimRequest) { r.Program.Scale = 0.5 }, ErrBadProgram},
-		{"enlarge on conventional", func(r *SimRequest) { r.Program.Enlarge = &EnlargeSpec{MaxOps: 100} }, ErrBadProgram},
-		{"negative emu budget", func(r *SimRequest) { r.EmuMaxOps = -1 }, ErrBadRequest},
-		{"negative timeout", func(r *SimRequest) { r.TimeoutMs = -5 }, ErrBadRequest},
-		{"neither config nor sweep", func(r *SimRequest) { r.Config = nil }, ErrBadRequest},
-		{"both config and sweep", func(r *SimRequest) {
-			r.Sweep = &SweepSpec{ICacheSizes: []int{0}}
-		}, ErrBadRequest},
-		{"bad geometry", func(r *SimRequest) {
-			r.Config = &ConfigSpec{ICache: &CacheSpec{SizeBytes: 3000, Ways: 4}}
-		}, ErrBadGeometry},
-		{"negative issue width", func(r *SimRequest) {
-			r.Config = &ConfigSpec{IssueWidth: -2}
-		}, ErrBadGeometry},
-		{"empty sweep", func(r *SimRequest) {
-			r.Config = nil
-			r.Sweep = &SweepSpec{}
-		}, ErrBadSweep},
-		{"negative sweep size", func(r *SimRequest) {
-			r.Config = nil
-			r.Sweep = &SweepSpec{ICacheSizes: []int{-1}}
-		}, ErrBadSweep},
-		{"bad sweep geometry", func(r *SimRequest) {
-			r.Config = nil
-			r.Sweep = &SweepSpec{ICacheSizes: []int{3000}}
-		}, ErrBadSweep},
-		{"multi-axis sweep over perfect prediction", func(r *SimRequest) {
-			r.Config = nil
-			r.Sweep = &SweepSpec{HistoryBits: []int{2, 4}, Base: &ConfigSpec{PerfectBP: true}}
-		}, ErrBadSweep},
-		{"multi-axis sweep negative history", func(r *SimRequest) {
-			r.Config = nil
-			r.Sweep = &SweepSpec{HistoryBits: []int{-2}, ICacheSizes: []int{8192}}
-		}, ErrBadSweep},
-		// Predictor-only sweeps: a SweepSpec with predictor axes and no
-		// icache sizes.
-		{"both config and pred sweep", func(r *SimRequest) {
-			r.Sweep = &SweepSpec{HistoryBits: []int{2, 4}}
-		}, ErrBadRequest},
-		{"pred sweep with no axis", func(r *SimRequest) {
-			r.Config = nil
-			r.Sweep = &SweepSpec{Base: &ConfigSpec{Predictor: &PredictorSpec{HistoryBits: 4}}}
-		}, ErrBadSweep},
-		{"negative pred sweep axis", func(r *SimRequest) {
-			r.Config = nil
-			r.Sweep = &SweepSpec{PHTEntries: []int{-2}}
-		}, ErrBadSweep},
-		{"pred sweep history beyond BHR", func(r *SimRequest) {
-			r.Config = nil
-			r.Sweep = &SweepSpec{HistoryBits: []int{40}}
-		}, ErrBadSweep},
-		{"pred sweep non-power-of-two PHT", func(r *SimRequest) {
-			r.Config = nil
-			r.Sweep = &SweepSpec{PHTEntries: []int{3000}}
-		}, ErrBadSweep},
-		{"pred sweep over perfect prediction", func(r *SimRequest) {
-			r.Config = nil
-			r.Sweep = &SweepSpec{
-				BTBSets: []int{256, 512},
-				Base:    &ConfigSpec{PerfectBP: true},
-			}
-		}, ErrBadSweep},
-	}
-	for _, tc := range cases {
+	for _, tc := range buildConfigCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := BuildConfig(seedReq(tc.mutate))
 			if tc.want == nil {
@@ -150,6 +157,39 @@ func TestBuildConfigTypedErrors(t *testing.T) {
 				t.Fatalf("BuildConfig = %v, want errors.Is(err, ErrBadRequest)", err)
 			}
 		})
+	}
+}
+
+// TestBuildConfigGridCap requires a sweep grid over maxSweepPoints to be
+// rejected as bad_sweep before any of it is built, and a grid of exactly the
+// cap to be accepted.
+func TestBuildConfigGridCap(t *testing.T) {
+	rep := func(v, n int) []int {
+		vals := make([]int, n)
+		for i := range vals {
+			vals[i] = v
+		}
+		return vals
+	}
+	grid := func(n int) *SimRequest {
+		return seedReq(func(r *SimRequest) {
+			r.Config = nil
+			r.Sweep = &SweepSpec{HistoryBits: rep(4, n), PHTEntries: rep(1024, n), BTBSets: rep(256, n)}
+		})
+	}
+	huge := grid(64)
+	if _, err := BuildConfig(huge); ErrorCode(err) != "bad_sweep" {
+		t.Fatalf("64x64x64 grid: err = %v, want error_code bad_sweep", err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { _, _ = BuildConfig(huge) }); allocs > 20 {
+		t.Fatalf("rejecting the 64x64x64 grid made %.0f allocations; it should build none of it", allocs)
+	}
+	plan, err := BuildConfig(grid(16))
+	if err != nil {
+		t.Fatalf("16x16x16 grid: %v", err)
+	}
+	if len(plan.Configs) != maxSweepPoints {
+		t.Fatalf("16x16x16 grid has %d configs, want %d", len(plan.Configs), maxSweepPoints)
 	}
 }
 

@@ -31,16 +31,15 @@ type ServerConfig struct {
 	// DefaultTimeout caps jobs that carry no timeout_ms of their own
 	// (0 = no cap). A request's own timeout may only shorten it.
 	DefaultTimeout time.Duration
-	// ProgramCacheEntries / TraceCacheEntries / PredecodeCacheEntries bound
-	// the artifact caches (<= 0 means 32 programs / 16 traces / 32
-	// predecoded tables; traces are the big artifacts).
-	ProgramCacheEntries   int
-	TraceCacheEntries     int
-	PredecodeCacheEntries int
-	// Store, when non-nil, persists recorded traces (and their predecoded op
-	// tables) on disk under the in-memory trace cache: misses fall through to
-	// the store before re-recording, and fresh recordings write through. A
-	// nil Store keeps the service purely in-memory.
+	// ProgramCacheEntries / TraceCacheEntries bound the artifact caches
+	// (<= 0 means 32 programs / 16 traces; traces are the big artifacts).
+	// A program entry carries its predecoded op tables with it.
+	ProgramCacheEntries int
+	TraceCacheEntries   int
+	// Store, when non-nil, persists recorded traces on disk under the
+	// in-memory trace cache: misses fall through to the store before
+	// re-recording, and fresh recordings write through. A nil Store keeps
+	// the service purely in-memory.
 	Store *Store
 	// Logger receives structured per-job logs (nil = slog.Default()).
 	Logger *slog.Logger
@@ -59,9 +58,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.TraceCacheEntries <= 0 {
 		c.TraceCacheEntries = 16
 	}
-	if c.PredecodeCacheEntries <= 0 {
-		c.PredecodeCacheEntries = 32
-	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
@@ -76,9 +72,8 @@ type Server struct {
 	cfg     ServerConfig
 	metrics *metrics
 
-	programs   *artifactCache // ProgramSpec -> *builtProgram
-	traces     *artifactCache // program+budget -> *emu.Trace
-	predecodes *artifactCache // program+issue width -> *uarch.Predecoded
+	programs *artifactCache // ProgramSpec -> *builtProgram
+	traces   *artifactCache // program+budget -> *cachedTrace
 
 	coal *coalescer // folds concurrent identical requests onto one pass
 
@@ -111,13 +106,12 @@ type job struct {
 func NewServer(cfg ServerConfig) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:        cfg,
-		metrics:    newMetrics(),
-		programs:   newArtifactCache(cfg.ProgramCacheEntries),
-		traces:     newArtifactCache(cfg.TraceCacheEntries),
-		predecodes: newArtifactCache(cfg.PredecodeCacheEntries),
-		coal:       newCoalescer(),
-		jobs:       make(chan *job, cfg.QueueDepth),
+		cfg:      cfg,
+		metrics:  newMetrics(),
+		programs: newArtifactCache(cfg.ProgramCacheEntries),
+		traces:   newArtifactCache(cfg.TraceCacheEntries),
+		coal:     newCoalescer(),
+		jobs:     make(chan *job, cfg.QueueDepth),
 	}
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
@@ -186,7 +180,7 @@ func (s *Server) Handler() http.Handler {
 			cc := s.cfg.Store.counters()
 			store = &cc
 		}
-		s.metrics.writeProm(w, s.programs.counters(), s.traces.counters(), s.predecodes.counters(), store)
+		s.metrics.writeProm(w, s.programs.counters(), s.traces.counters(), store)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

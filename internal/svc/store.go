@@ -258,44 +258,6 @@ func (s *Store) isLive(path string) bool {
 	return ok
 }
 
-// AttachAux upserts one tagged aux section into key's trace file: the current
-// file's sections are re-read from disk (so a section another process attached
-// since our load survives), the same-tag section is replaced, every other tag
-// is preserved, and the merged file is rewritten atomically. A missing or
-// invalid file degrades to writing the trace with just this section — the
-// attach never fails harder than a plain SaveTrace. Replays still mapped onto
-// the replaced file are unaffected: the rename swaps the directory entry, and
-// their pages stay live until the last reference drains. This is what fixes
-// the old "last width wins" behavior: with one untagged section, attaching a
-// predecode table for a second issue width clobbered the first width's table,
-// and the two widths then thrashed each other's write-through forever.
-func (s *Store) AttachAux(key string, tr *emu.Trace, sec emu.AuxSection) error {
-	var sections []emu.AuxSection
-	if data, err := os.ReadFile(s.path(key)); err == nil {
-		if cur, aux, derr := emu.DecodeTrace(data, tr.Program()); derr == nil && cur.EmuConfig() == tr.EmuConfig() {
-			sections = aux
-		}
-	}
-	merged := make([]emu.AuxSection, 0, len(sections)+1)
-	inserted := false
-	for _, other := range sections {
-		switch {
-		case other.Tag == sec.Tag:
-			merged = append(merged, sec)
-			inserted = true
-		case other.Tag > sec.Tag && !inserted:
-			merged = append(merged, sec, other)
-			inserted = true
-		default:
-			merged = append(merged, other)
-		}
-	}
-	if !inserted {
-		merged = append(merged, sec)
-	}
-	return s.SaveTrace(key, tr, merged)
-}
-
 // quarantine moves a failed-validation file aside so it cannot be served
 // again but stays inspectable. A second corruption of the same key
 // overwrites the previous quarantine; if even the rename fails, the file is

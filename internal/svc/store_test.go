@@ -182,58 +182,6 @@ func TestStoreQuarantinesCorruption(t *testing.T) {
 	}
 }
 
-// TestStoreAttachAuxPerWidth is the regression test for the per-width aux
-// fix: attaching a predecode blob for a second issue width must preserve the
-// first width's blob (the old single-section format let the last writer win),
-// and re-attaching an existing width replaces only that width's payload.
-func TestStoreAttachAuxPerWidth(t *testing.T) {
-	st, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, tr := storeTrace(t, 4248)
-	key := traceKey("prog-e", 0)
-	if err := st.SaveTrace(key, tr, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Attach width 16 first, then width 8: both must survive, in tag order.
-	if err := st.AttachAux(key, tr, emu.AuxSection{Tag: 16, Data: []byte("wide")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AttachAux(key, tr, emu.AuxSection{Tag: 8, Data: []byte("narrow")}); err != nil {
-		t.Fatal(err)
-	}
-	want := []emu.AuxSection{{Tag: 8, Data: []byte("narrow")}, {Tag: 16, Data: []byte("wide")}}
-	got, gotAux, ok := loadMapped(t, st, key, prog, emu.Config{})
-	if !ok {
-		t.Fatal("trace with attached aux not served")
-	}
-	requireSame(t, tr, got, want, gotAux)
-
-	// Re-attaching a width replaces that payload without touching the other.
-	if err := st.AttachAux(key, tr, emu.AuxSection{Tag: 16, Data: []byte("wider")}); err != nil {
-		t.Fatal(err)
-	}
-	want[1].Data = []byte("wider")
-	got, gotAux, ok = loadMapped(t, st, key, prog, emu.Config{})
-	if !ok {
-		t.Fatal("trace not served after re-attach")
-	}
-	requireSame(t, tr, got, want, gotAux)
-
-	// Attaching to a missing file degrades to a plain save with one section.
-	key2 := traceKey("prog-e2", 0)
-	if err := st.AttachAux(key2, tr, emu.AuxSection{Tag: 8, Data: []byte("solo")}); err != nil {
-		t.Fatal(err)
-	}
-	got, gotAux, ok = loadMapped(t, st, key2, prog, emu.Config{})
-	if !ok {
-		t.Fatal("attach-to-missing-file trace not served")
-	}
-	requireSame(t, tr, got, []emu.AuxSection{{Tag: 8, Data: []byte("solo")}}, gotAux)
-}
-
 // TestStoreRejectsMismatchedContent covers the two "right checksum, wrong
 // artifact" cases: a file decoded against a different program, and a file
 // whose emulation budget does not match the key's. Both quarantine.
@@ -270,8 +218,7 @@ func TestStoreRejectsMismatchedContent(t *testing.T) {
 // TestServerStoreWarmStart is the end-to-end restart contract: a second
 // server pointed at the first one's store directory answers the same sweep
 // identically without recording a single trace — the store, not the
-// emulator, supplies the artifact — and serves the predecoded op table out
-// of the file's aux section.
+// emulator, supplies the artifact — and without writing to the store.
 func TestServerStoreWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	seed := int64(4247)
@@ -301,7 +248,7 @@ func TestServerStoreWarmStart(t *testing.T) {
 	if n := sA.metrics.traceRecords.Load(); n != 1 {
 		t.Fatalf("cold run recorded %d traces, want 1", n)
 	}
-	// The sweep job saves its recording and predecode aux in one write.
+	// The sweep job saves its recording in one write.
 	if cc := stA.counters(); cc.Writes != 1 {
 		t.Fatalf("store counters after cold run = %+v, want exactly 1 write", cc)
 	}
@@ -327,10 +274,9 @@ func TestServerStoreWarmStart(t *testing.T) {
 	if cc.Hits != 1 || cc.Corruptions != 0 {
 		t.Fatalf("store counters after warm run = %+v, want 1 hit / 0 corruptions", cc)
 	}
-	// The aux predecode satisfied the warm server's flatten, so it wrote
-	// nothing back.
+	// A store hit is read-only: the warm server writes nothing back.
 	if cc.Writes != 0 {
-		t.Fatalf("warm run wrote %d store files, want 0 (aux predecode reused)", cc.Writes)
+		t.Fatalf("warm run wrote %d store files, want 0", cc.Writes)
 	}
 	if !reflect.DeepEqual(warm.Results, cold.Results) {
 		t.Fatalf("warm results diverge from cold:\nwarm: %+v\ncold: %+v", warm.Results, cold.Results)

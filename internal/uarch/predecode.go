@@ -1,10 +1,6 @@
 package uarch
 
-import (
-	"unsafe"
-
-	"bsisa/internal/isa"
-)
+import "bsisa/internal/isa"
 
 // Predecoded is a reusable predecode of a program's blocks: the flattened
 // per-block operation tables (macro-op pairs already fused under a fusing
@@ -34,19 +30,6 @@ func Predecode(prog *isa.Program, issueWidth int) *Predecoded {
 		issueWidth = Config{}.EffectiveIssueWidth()
 	}
 	return &Predecoded{prog: prog, issueWidth: issueWidth, lp: flattenSweepProgram(prog, issueWidth)}
-}
-
-// IssueWidth reports the issue width the tables were flattened for.
-func (p *Predecoded) IssueWidth() int { return p.issueWidth }
-
-// Footprint returns the approximate in-memory size of the tables in bytes,
-// for cache accounting.
-func (p *Predecoded) Footprint() int64 {
-	n := int64(len(p.lp)) * int64(unsafe.Sizeof(laneBlock{}))
-	for i := range p.lp {
-		n += int64(len(p.lp[i].ops)) * 8
-	}
-	return n
 }
 
 // tables returns the predecoded block table for prog at issueWidth, reusing
