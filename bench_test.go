@@ -265,7 +265,7 @@ func sweepBenchTrace(b *testing.B) *emu.Trace {
 }
 
 // BenchmarkGridSweep times every grid-speed preset (the bsbench sweepspeed,
-// predsweep and xsweep grids) both ways over one recorded trace: per-config
+// predsweep, xsweep and onelane grids) both ways over one recorded trace: per-config
 // replay (one full trace walk per configuration via SimulateMany) and the
 // unified sweep engine (one enrichment replay feeding a timing lane per
 // configuration). -benchmem also pins the per-call allocation profile —

@@ -8,9 +8,9 @@
 //
 // Experiments: table1 table2 fig3 fig4 fig5 fig6 fig7 headtohead mispredicts
 // ablate-size ablate-faults ablate-superblock ablate-history ablate-minbias
-// sweepspeed segspeed predsweep xsweep predsens mmapreplay summary all
-// (default: the paper's tables and figures). sweepspeed, predsweep and
-// xsweep are the grid-speed presets (harness.GridPresets).
+// sweepspeed predsweep xsweep onelane predsens mmapreplay summary all
+// (default: the paper's tables and figures). sweepspeed, predsweep, xsweep
+// and onelane are the grid-speed presets (harness.GridPresets).
 //
 // -json additionally writes each experiment's results to BENCH_<name>.json
 // using the same versioned svc.SimResponse envelope the bsimd service
@@ -84,8 +84,8 @@ func main() {
 	paper := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6", "fig7", "headtohead"}
 	extra := []string{"mispredicts", "ablate-size", "ablate-faults", "ablate-superblock",
 		"ablate-history", "ablate-minbias", "ablate-tracecache", "ablate-ifconvert",
-		"ablate-inline", "ablate-hotlayout", "ablate-multiblock", "sweepspeed", "segspeed",
-		"predsweep", "xsweep", "predsens", "mmapreplay", "summary"}
+		"ablate-inline", "ablate-hotlayout", "ablate-multiblock", "sweepspeed",
+		"predsweep", "xsweep", "onelane", "predsens", "mmapreplay", "summary"}
 
 	var names []string
 	switch *exps {
@@ -173,10 +173,8 @@ func run(h *harness.Harness, name string) (*stats.Table, error) {
 		return h.AblateProfileLayout()
 	case "ablate-multiblock":
 		return h.AblateMultiBlock()
-	case "sweepspeed", "predsweep", "xsweep":
+	case "sweepspeed", "predsweep", "xsweep", "onelane":
 		return h.GridSpeed(name)
-	case "segspeed":
-		return h.SegSpeed()
 	case "predsens":
 		return h.PredictorSensitivity()
 	case "mmapreplay":
@@ -184,7 +182,7 @@ func run(h *harness.Harness, name string) (*stats.Table, error) {
 	case "summary":
 		return h.Summary()
 	default:
-		return nil, fmt.Errorf("unknown experiment (try table1 table2 fig3..fig7 headtohead mispredicts ablate-* sweepspeed segspeed predsweep xsweep predsens mmapreplay summary)")
+		return nil, fmt.Errorf("unknown experiment (try table1 table2 fig3..fig7 headtohead mispredicts ablate-* sweepspeed predsweep xsweep onelane predsens mmapreplay summary)")
 	}
 }
 

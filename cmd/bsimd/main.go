@@ -18,12 +18,8 @@
 //	     /debug/pprof/  runtime profiling
 //
 // A single config on a sweepable ISA runs as a one-lane sweep (engine
-// "sweep"), like a grid. Single-config requests may carry a "segments"
-// field; when the config qualifies and -job-workers leaves lanes to spend,
-// the job runs on the segment-parallel replay engine (engine
-// "replay-segmented") instead, with its queue depth and per-segment latency
-// exported on /metrics. Without segments that engine is never used.
-// Concurrent identical requests coalesce onto one simulation pass; followers
+// "sweep"), like a grid; a config or ISA the sweep lanes cannot serve runs
+// as per-config replay (engine "simulate-many"). Concurrent identical requests coalesce onto one simulation pass; followers
 // are answered from the leader's envelope with "coalesced": true and counted
 // in bsimd_coalesced_requests_total.
 //
@@ -49,11 +45,12 @@
 // server on an ephemeral port (pool shape pinned: one worker, four job
 // workers) and checks, over HTTP against the direct library path: a
 // Figure-6-style icache sweep, a predictor sweep served from the cached
-// trace, a segmented single-config replay, a four-way head-to-head across
+// trace, a single config that must run as a one-lane sweep and equal
+// sequential replay, a four-way head-to-head across
 // every registered ISA backend (plus an unknown-ISA rejection carrying the
 // machine-readable error_code), and a 32-way identical load that
 // must coalesce onto one pass — then verifies cache hits, the coalesced
-// count, and segment activity on /metrics, and finally restarts against the
+// count and store activity on /metrics, and finally restarts against the
 // same trace store (the -store directory, or a temporary one) to prove a
 // fresh process answers the sweep from mmapped store files with zero trace
 // recordings.

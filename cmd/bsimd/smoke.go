@@ -39,17 +39,15 @@ func smokeRequest(id string) *svc.SimRequest {
 	}
 }
 
-// smokeSegRequest is a single-config question with an explicit segment hint:
-// the service must route it through the segment-parallel replay engine (the
-// only way to reach it) and still answer field-for-field what the
-// sequential engine answers.
-func smokeSegRequest(id string) *svc.SimRequest {
+// smokeLaneRequest is a single-config question: the service must run it as
+// a one-lane sweep and still answer field-for-field what sequential replay
+// answers.
+func smokeLaneRequest(id string) *svc.SimRequest {
 	return &svc.SimRequest{
-		Version:  svc.SchemaVersion,
-		ID:       id,
-		Program:  svc.ProgramSpec{Workload: "compress", Scale: smokeScale, ISA: "conv"},
-		Config:   &svc.ConfigSpec{ICache: &svc.CacheSpec{SizeBytes: 8 * 1024, Ways: 4}},
-		Segments: 4,
+		Version: svc.SchemaVersion,
+		ID:      id,
+		Program: svc.ProgramSpec{Workload: "compress", Scale: smokeScale, ISA: "conv"},
+		Config:  &svc.ConfigSpec{ICache: &svc.CacheSpec{SizeBytes: 8 * 1024, Ways: 4}},
 	}
 }
 
@@ -111,17 +109,17 @@ func smokePredRequest(id string) *svc.SimRequest {
 
 // runSmoke is the CI service-smoke stage: equivalence against the direct
 // library path for the unified sweep engine (icache, predictor, and
-// multi-axis grids, and a one-lane single config) and the segment-parallel
-// engine,
-// then a 32-way concurrent identical load that must coalesce onto one pass,
-// with the cache hits, coalesced count, and segment metrics checked on
-// /metrics — and finally a restart against the same trace store, which must
+// multi-axis grids, and a one-lane single config that must equal sequential
+// replay), then a 32-way concurrent identical load that must coalesce onto
+// one pass, with the cache hits, coalesced count, and store metrics checked
+// on /metrics — and finally a restart against the same trace store, which must
 // serve the sweep without recording anything.
 //
 // The pool shape is pinned rather than taken from the daemon flags: one
 // worker makes the coalescing step deterministic (the load queues behind a
 // slower occupier job, so exactly one of the identical requests leads), and
-// several job workers give the segmented engine lanes to spend. The store is
+// several job workers give the sweep and replay engines lanes to spend. The
+// store is
 // taken from -store when given (so CI can run the smoke twice on one
 // directory and get a cross-process warm start) and is a throwaway temp
 // directory otherwise.
@@ -251,39 +249,22 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 	}
 	logger.Info("smoke: multi-axis cross product matches direct path field-for-field", "configs", len(xWant))
 
-	// 3. A single-config request with a segment hint: the segment-parallel
-	// engine must serve it and answer exactly what sequential replay answers.
-	segGot, err := postSim(base, smokeSegRequest("smoke-segmented"))
-	if err != nil {
-		return err
-	}
-	if segGot.Engine != "replay-segmented" {
-		return fmt.Errorf("service routed the single-config job through %q, want the segmented engine", segGot.Engine)
-	}
-	segWant, err := directReplay(smokeSegRequest(""))
-	if err != nil {
-		return fmt.Errorf("direct replay path: %w", err)
-	}
-	if len(segGot.Results) != 1 || segGot.Results[0] != *segWant {
-		return fmt.Errorf("segmented replay diverges from the sequential path\nservice: %+v\ndirect:  %+v",
-			segGot.Results, *segWant)
-	}
-	logger.Info("smoke: segmented replay matches sequential replay field-for-field")
-
-	// 3a. The same config without segments runs as a one-lane sweep, with
-	// the same answer.
-	laneReq := smokeSegRequest("smoke-one-lane")
-	laneReq.Segments = 0
-	laneGot, err := postSim(base, laneReq)
+	// 3. A single config runs as a one-lane sweep and answers exactly what
+	// sequential replay answers.
+	laneGot, err := postSim(base, smokeLaneRequest("smoke-one-lane"))
 	if err != nil {
 		return err
 	}
 	if laneGot.Engine != "sweep" {
 		return fmt.Errorf("service routed the single-config job through %q, want a one-lane sweep", laneGot.Engine)
 	}
-	if len(laneGot.Results) != 1 || laneGot.Results[0] != *segWant {
+	laneWant, err := directReplay(smokeLaneRequest(""))
+	if err != nil {
+		return fmt.Errorf("direct replay path: %w", err)
+	}
+	if len(laneGot.Results) != 1 || laneGot.Results[0] != *laneWant {
 		return fmt.Errorf("one-lane sweep diverges from the sequential path\nservice: %+v\ndirect:  %+v",
-			laneGot.Results, *segWant)
+			laneGot.Results, *laneWant)
 	}
 	logger.Info("smoke: one-lane sweep matches sequential replay field-for-field")
 
@@ -396,8 +377,7 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 	logger.Info("smoke: concurrent identical load coalesced onto one pass",
 		"requests", load, "coalesced", coalesced, "wall", time.Since(start).Round(time.Millisecond))
 
-	// 5. Cache hits, coalescing, and segment activity must be visible on
-	// /metrics.
+	// 5. Cache hits and coalescing must be visible on /metrics.
 	metrics, err := fetch(base + "/metrics")
 	if err != nil {
 		return err
@@ -413,8 +393,6 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 		// the one-lane single config, the conv and bsa backend runs, the
 		// occupier, and the coalesce leader.
 		{`bsimd_stage_seconds_count{stage="sweep"}`, 8},
-		{`bsimd_stage_seconds_count{stage="segreplay"}`, 1},
-		{`bsimd_segments_completed_total`, 1},
 	} {
 		v, ok := metricValue(metrics, check.series)
 		if !ok {
@@ -445,7 +423,7 @@ func runSmoke(cfg svc.ServerConfig, logger *slog.Logger) error {
 			return fmt.Errorf("warm store run recorded %g traces (present %v), want 0", v, ok)
 		}
 	}
-	logger.Info("smoke: cache, coalescing, segment, and store metrics visible on /metrics")
+	logger.Info("smoke: cache, coalescing, and store metrics visible on /metrics")
 
 	// 6. Restart warm start: a second server pointed at the same store
 	// directory (a fresh svc.Store, as a restarted process would open) must
@@ -606,7 +584,7 @@ func directBackendRun(req *svc.SimRequest) (*svc.SimResult, error) {
 }
 
 // directReplay computes the sequential-engine answer for a single-config
-// request: the reference the segmented service path must reproduce exactly.
+// request: the reference the one-lane service path must reproduce exactly.
 func directReplay(req *svc.SimRequest) (*svc.SimResult, error) {
 	plan, err := svc.BuildConfig(req)
 	if err != nil {

@@ -48,7 +48,7 @@ type Predictor interface {
 // Restoring it into a same-kind, same-geometry predictor reproduces the
 // exact prediction and training behavior the source would have shown from
 // the capture point on — the checkpoint primitive behind the
-// segment-parallel replay engine (uarch.ReplayTraceSegmented).
+// segment-parallel replay engine (internal/uarch/segment.go).
 type State interface {
 	// stateKind names the concrete predictor the snapshot came from; it keys
 	// the type check in Restore and keeps the interface closed to this

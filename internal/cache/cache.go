@@ -223,8 +223,8 @@ func (c *Cache) accessLines(first, last uint32) int {
 // ordering), the replacement clock, the traffic counters, and the same-line
 // memo. Restoring it into a cache of identical geometry reproduces the exact
 // hit/miss/replacement behavior the source cache would have shown from that
-// point on — the checkpoint primitive behind the segment-parallel replay
-// engine (uarch.ReplayTraceSegmented).
+// point on — the checkpoint primitive behind uarch's segment-parallel
+// replay engine (internal/uarch/segment.go).
 type Snapshot struct {
 	cfg      Config
 	lines    []line

@@ -151,8 +151,8 @@ func (t *Trace) ReplayContext(ctx context.Context, handler Handler) error {
 }
 
 // Cursor iterates a trace's committed events one at a time from an arbitrary
-// starting index — the access path of the segment-parallel replay engine
-// (uarch.ReplayTraceSegmented), whose per-segment lanes each consume a
+// starting index — the access path of uarch's segment-parallel replay
+// engine (internal/uarch/segment.go), whose per-segment lanes each consume a
 // contiguous slice of the stream. Like Replay, the delivered event struct is
 // reused between calls and must not be retained, and MemAddrs alias the
 // trace.

@@ -29,6 +29,9 @@ type GridPreset struct {
 //   - predsweep: an 8-point branch-history sweep at the Figure 3 machine.
 //   - xsweep: the 4x4 history-bits x icache-size cross product, where one
 //     enrichment replay feeds lanes that differ along two axes.
+//   - onelane: the Figure 3 machine alone. SimulateMany of one config is one
+//     sequential ReplayTrace, so this times sequential replay against the
+//     one-lane sweep every lone configuration is routed through.
 func GridPresets() []GridPreset {
 	return []GridPreset{
 		{
@@ -48,6 +51,12 @@ func GridPresets() []GridPreset {
 			Title: "Cross sweep speed: per-config replay (legacy) vs unified multi-axis sweep",
 			Note:  "4x4 history-bits x icache-size cross grid at the Figure 3 machine; engines verified to return identical results.",
 			Grid:  crossGrid,
+		},
+		{
+			Name:  "onelane",
+			Title: "Single-config speed: sequential replay vs one-lane sweep",
+			Note:  "The Figure 3 machine alone; engines verified to return identical results.",
+			Grid:  func() []uarch.Config { return []uarch.Config{baseConfig(LargeICache, false)} },
 		},
 	}
 }

@@ -64,10 +64,7 @@ type Options struct {
 	// serial execution. Precedence is outermost-first — the same budget
 	// bounds benchmark preparation, then per-benchmark config fan-out (the
 	// sweep engine's lane groups and SimulateMany's pool). A single
-	// configuration runs as a one-lane sweep on one goroutine: it gets no
-	// trace segments, since segment-parallel replay is only used when asked
-	// for explicitly (bsim -segments, the service's segments field).
-	// Results are identical at every worker count: the fan-out determinism
+	// configuration runs as a one-lane sweep on one goroutine. Results are identical at every worker count: the fan-out determinism
 	// test in replay_test.go pins this.
 	Workers int
 	// Context, when non-nil, cancels in-flight experiment fan-outs

@@ -11,11 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"bsisa/internal/compile"
-	"bsisa/internal/emu"
-	"bsisa/internal/isa"
-	"bsisa/internal/testgen"
-	"bsisa/internal/uarch"
 	"bsisa/internal/workload"
 )
 
@@ -80,7 +75,7 @@ func TestCoalescerFinishRetiresFlight(t *testing.T) {
 }
 
 // TestCoalesceKeyCoverage checks the key covers what determines the answer
-// (program, budget, configs, segments) and ignores what does not (ID,
+// (program, budget, configs) and ignores what does not (ID,
 // timeout).
 func TestCoalesceKeyCoverage(t *testing.T) {
 	seed := int64(7)
@@ -108,132 +103,8 @@ func TestCoalesceKeyCoverage(t *testing.T) {
 	if mk(func(r *SimRequest) { r.Config.ICache.SizeBytes = 4096 }) == base {
 		t.Fatal("key must cover the configuration")
 	}
-	if mk(func(r *SimRequest) { r.Segments = 4 }) == base {
-		t.Fatal("key must cover the segment hint")
-	}
 	if mk(func(r *SimRequest) { r.EmuMaxOps = 500 }) == base {
 		t.Fatal("key must cover the emulation budget")
-	}
-}
-
-// TestBuildConfigSegments covers the segments field's validation: negative
-// counts and non-single-config requests are bad requests; a single-config
-// request carries the hint into the plan.
-func TestBuildConfigSegments(t *testing.T) {
-	seed := int64(7)
-	prog := ProgramSpec{Seed: &seed, ISA: "conv"}
-	cases := []struct {
-		name string
-		req  *SimRequest
-		ok   bool
-	}{
-		{"negative", &SimRequest{Version: SchemaVersion, Program: prog,
-			Config: &ConfigSpec{}, Segments: -1}, false},
-		{"with sweep", &SimRequest{Version: SchemaVersion, Program: prog,
-			Sweep: &SweepSpec{ICacheSizes: []int{0, 2048}}, Segments: 4}, false},
-		{"with predsweep", &SimRequest{Version: SchemaVersion, Program: prog,
-			Sweep: &SweepSpec{HistoryBits: []int{2, 8}}, Segments: 4}, false},
-		{"single config", &SimRequest{Version: SchemaVersion, Program: prog,
-			Config: &ConfigSpec{}, Segments: 4}, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			plan, err := BuildConfig(tc.req)
-			if tc.ok {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				if plan.Segments != tc.req.Segments {
-					t.Fatalf("plan.Segments = %d, want %d", plan.Segments, tc.req.Segments)
-				}
-				return
-			}
-			if !errors.Is(err, ErrBadRequest) {
-				t.Fatalf("error %v, want ErrBadRequest", err)
-			}
-		})
-	}
-}
-
-// TestServerSegmentedEngine gives the server engine workers to spend and
-// requires a single-config job that asks for segments to route through the
-// segment-parallel engine, with the answer field-for-field identical to
-// sequential replay, and the same job without segments to run as a one-lane
-// sweep with the same answer.
-func TestServerSegmentedEngine(t *testing.T) {
-	cfg := quietConfig()
-	cfg.JobWorkers = 4
-	s, ts := testServer(t, cfg)
-	seed := int64(42)
-	req := &SimRequest{
-		Version:  SchemaVersion,
-		Program:  ProgramSpec{Seed: &seed, ISA: "conv"},
-		Config:   &ConfigSpec{ICache: &CacheSpec{SizeBytes: 2048, Ways: 4}},
-		Segments: 4,
-	}
-	status, resp := post(t, ts, req)
-	if status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, resp.Error)
-	}
-	if resp.Engine != engineSegmented {
-		t.Fatalf("engine %q, want %q", resp.Engine, engineSegmented)
-	}
-
-	plan, err := BuildConfig(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := compile.Compile(testgen.Program(seed), "t", compile.DefaultOptions(isa.Conventional))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := emu.Record(prog, emu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := uarch.ReplayTrace(tr, plan.Configs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) != 1 || resp.Results[0] != ResultOf(plan.ICacheBytes[0], want) {
-		t.Fatalf("segmented answer diverges from sequential replay:\nservice: %+v\ndirect:  %+v",
-			resp.Results, ResultOf(plan.ICacheBytes[0], want))
-	}
-	if n := s.metrics.segDone.Load(); n < 1 {
-		t.Fatalf("segments_completed = %d, want >= 1", n)
-	}
-	if got := s.metrics.segQueued.Load(); got != 0 {
-		t.Fatalf("segment queue depth %d after the job drained, want 0", got)
-	}
-
-	// Without segments the same config is a one-lane sweep.
-	single := *req
-	single.Segments = 0
-	status, resp = post(t, ts, &single)
-	if status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, resp.Error)
-	}
-	if resp.Engine != engineSweep {
-		t.Fatalf("engine %q without segments, want %q", resp.Engine, engineSweep)
-	}
-	if len(resp.Results) != 1 || resp.Results[0] != ResultOf(plan.ICacheBytes[0], want) {
-		t.Fatalf("one-lane sweep diverges from sequential replay:\nservice: %+v\ndirect:  %+v",
-			resp.Results, ResultOf(plan.ICacheBytes[0], want))
-	}
-
-	// Configs the segment engine cannot serve fall back to per-config replay
-	// even with workers to spend.
-	tcReq := &SimRequest{
-		Version: SchemaVersion,
-		Program: ProgramSpec{Seed: &seed, ISA: "conv"},
-		Config:  &ConfigSpec{ICache: &CacheSpec{SizeBytes: 2048, Ways: 4}},
-	}
-	tcPlan, err := BuildConfig(tcReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !uarch.CanSegment(tcPlan.Configs[0]) {
-		t.Fatal("plain config should be segmentable")
 	}
 }
 

@@ -35,9 +35,6 @@ type Plan struct {
 	// Sweep records whether the request was a SweepSpec (the response
 	// renders a sweep table).
 	Sweep bool
-	// Segments is the requested segment count for the segment-parallel
-	// replay engine (single-Config plans only; 0 = not requested).
-	Segments int
 	// Timeout is the requested per-job deadline (0 = server default).
 	Timeout time.Duration
 }
@@ -96,13 +93,6 @@ func BuildConfig(req *SimRequest) (*Plan, error) {
 	if req.Config != nil && req.Sweep != nil {
 		return nil, fmt.Errorf("%w: request sets both config and sweep (want one)", ErrBadRequest)
 	}
-	if req.Segments < 0 {
-		return nil, fmt.Errorf("%w: negative segment count %d", ErrBadRequest, req.Segments)
-	}
-	if req.Segments > 0 && req.Config == nil {
-		return nil, fmt.Errorf("%w: segments only applies to single-config runs", ErrBadRequest)
-	}
-	plan.Segments = req.Segments
 	switch {
 	case req.Config != nil:
 		cfg := req.Config.toUarch()

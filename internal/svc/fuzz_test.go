@@ -8,17 +8,15 @@ import (
 
 // readmeBodies are the request bodies of the README's curl examples.
 var readmeBodies = []string{
-	`{"version": 2, "program": {"workload": "compress", "scale": 0.1, "isa": "bsa"},
+	`{"version": 3, "program": {"workload": "compress", "scale": 0.1, "isa": "bsa"},
 	  "sweep": {"icache_sizes": [0, 8192, 16384, 32768, 65536]}}`,
-	`{"version": 2, "program": {"workload": "compress", "scale": 0.1, "isa": "bsa"},
+	`{"version": 3, "program": {"workload": "compress", "scale": 0.1, "isa": "bsa"},
 	  "sweep": {"history_bits": [2, 4, 8, 12], "pht_entries": [1024, 4096]}}`,
-	`{"version": 2, "program": {"workload": "compress", "scale": 0.1, "isa": "bsa"},
+	`{"version": 3, "program": {"workload": "compress", "scale": 0.1, "isa": "bsa"},
 	  "sweep": {"icache_sizes": [4096, 8192, 16384, 32768], "history_bits": [4, 8, 12, 16]}}`,
-	`{"version": 2,
+	`{"version": 3,
 	  "program": {"source": "func main() { var i = 0; while (i < 100000) { i = i + 1; } out(i); }", "isa": "conv"},
 	  "config": {"icache": {"size_bytes": 16384}}, "timeout_ms": 10000}`,
-	`{"version": 2, "program": {"workload": "compress", "scale": 0.1, "isa": "bsa"},
-	  "config": {"icache": {"size_bytes": 16384}}, "segments": 4}`,
 }
 
 // FuzzRequest feeds arbitrary bytes through DecodeRequest and BuildConfig,

@@ -125,3 +125,56 @@ func TestServerStoreWritesTraceOnly(t *testing.T) {
 		t.Fatalf("store file is %d bytes, want the bare trace's %d", fi.Size(), want)
 	}
 }
+
+// TestServerTraceCarriesItsProgram requires a cached trace to keep the
+// program it was recorded against. With one program entry and four trace
+// entries, the sweeps A, B, A rebuild A's program but hit A's cached trace;
+// the third sweep must schedule over the trace's own program and its
+// predecode memo (predecode: true), not flatten the rebuilt copy, and answer
+// exactly as the first did.
+func TestServerTraceCarriesItsProgram(t *testing.T) {
+	cfg := quietConfig()
+	cfg.ProgramCacheEntries = 1
+	cfg.TraceCacheEntries = 4
+	s, ts := testServer(t, cfg)
+	mk := func(seed int64) *SimRequest {
+		return &SimRequest{
+			Version: SchemaVersion,
+			Program: ProgramSpec{Seed: &seed, ISA: "conv"},
+			Sweep:   &SweepSpec{ICacheSizes: []int{0, 2048}},
+		}
+	}
+	var resps []*SimResponse
+	for _, seed := range []int64{21, 22, 21} {
+		status, resp := post(t, ts, mk(seed))
+		if status != http.StatusOK {
+			t.Fatalf("seed %d: status %d: %s", seed, status, resp.Error)
+		}
+		if resp.Engine != engineSweep || resp.ArtifactCache == nil {
+			t.Fatalf("seed %d: engine %q, artifact cache %+v; want a sweep", seed, resp.Engine, resp.ArtifactCache)
+		}
+		resps = append(resps, resp)
+	}
+	if ac := *resps[2].ArtifactCache; ac.Program || !ac.Trace || !ac.Predecode {
+		t.Fatalf("third sweep artifacts %+v, want a rebuilt program, a trace hit and the trace's predecode memo", ac)
+	}
+	if !reflect.DeepEqual(resps[2].Results, resps[0].Results) {
+		t.Fatalf("trace hit answers differently:\nfirst: %+v\nthird: %+v", resps[0].Results, resps[2].Results)
+	}
+
+	plan, err := BuildConfig(mk(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tv, hit, err := s.traces.do(traceKey(programKey(plan.Program), plan.EmuCfg.MaxOps), func() (any, error) {
+		return nil, os.ErrNotExist
+	})
+	if err != nil || !hit {
+		t.Fatalf("seed 21's trace left the cache (hit %v, err %v)", hit, err)
+	}
+	ct := tv.(*cachedTrace)
+	defer ct.unref()
+	if ct.tr.Program() != ct.bp.prog {
+		t.Fatal("cached trace replays a different program than the one it carries")
+	}
+}

@@ -18,9 +18,8 @@ import (
 
 // Engine names reported in responses and logs.
 const (
-	engineSweep     = "sweep"
-	engineSegmented = "replay-segmented"
-	engineMany      = "simulate-many"
+	engineSweep = "sweep"
+	engineMany  = "simulate-many"
 )
 
 // builtProgram is the program artifact cached across requests. It also
@@ -56,12 +55,18 @@ func (bp *builtProgram) predecode(iw int) (pre *uarch.Predecoded, hit bool) {
 // cachedTrace is the trace artifact cached across requests. Immutable after
 // construction.
 //
+// bp is the program the trace was recorded or mapped against, so
+// tr.Program() == bp.prog always holds. The trace cache can outlive the
+// program cache, and a job that rebuilt an evicted program must still
+// schedule over the program, and the predecode memo, its trace replays.
+//
 // A store-mapped trace (mapped != nil) aliases read-only mmapped pages; the
 // refcounted hooks forward to the mapping so the artifact cache and every
 // in-flight job each hold a reference, and the file is unmapped only after
 // the last of them releases.
 type cachedTrace struct {
 	tr        *emu.Trace
+	bp        *builtProgram
 	fromStore bool
 	mapped    *emu.TraceMapping // non-nil when served from the store's mmap tier
 }
@@ -80,9 +85,8 @@ func (ct *cachedTrace) zeroCopy() bool { return ct.mapped != nil && ct.mapped.Ze
 // execute runs one job end to end: program (cached) → trace (cached) →
 // timing engine, with the same routing rule as the CLI tools — the unified
 // multi-axis sweep engine whenever the config batch qualifies (a single
-// config included), per-config replay otherwise, and segment-parallel
-// replay only when the request asks for segments — so service answers are
-// field-for-field identical to CLI answers. The returned error (also
+// config included) and per-config replay otherwise — so service answers
+// are field-for-field identical to CLI answers. The returned error (also
 // recorded in the envelope's Error field) classifies the failure for the
 // HTTP layer.
 func (s *Server) execute(j *job) (*SimResponse, error) {
@@ -125,14 +129,8 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	}
 	bp := pv.(*builtProgram)
 
-	// Timing engine. Segmented replay runs only on request, and only with
-	// workers to spend.
 	engine, stage := engineMany, stageReplay
-	sweepable, _ := uarch.CanSweep(plan.Configs)
-	switch {
-	case plan.Segments > 0 && uarch.CanSegment(plan.Configs[0]) && s.jobWorkers() > 1:
-		engine, stage = engineSegmented, stageSegReplay
-	case sweepable && uarch.CanSweepKind(plan.Kind()):
+	if sweepable, _ := uarch.CanSweep(plan.Configs); sweepable && uarch.CanSweepKind(plan.Kind()) {
 		engine, stage = engineSweep, stageSweep
 	}
 	resp.Engine = engine
@@ -146,7 +144,7 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	tv, traceHit, err := s.traces.do(tKey, func() (any, error) {
 		if st := s.cfg.Store; st != nil {
 			if mt, ok := st.LoadTraceMapped(tKey, bp.prog, plan.EmuCfg); ok {
-				return &cachedTrace{tr: mt.Trace(), fromStore: true, mapped: mt}, nil
+				return &cachedTrace{tr: mt.Trace(), bp: bp, fromStore: true, mapped: mt}, nil
 			}
 		}
 		t0 := time.Now()
@@ -161,7 +159,7 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 				s.cfg.Logger.Warn("trace store write failed", "key", tKey, "err", serr.Error())
 			}
 		}
-		return &cachedTrace{tr: tr}, nil
+		return &cachedTrace{tr: tr, bp: bp}, nil
 	})
 	if err != nil {
 		return fail(err)
@@ -173,11 +171,12 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	defer ct.unref()
 	tr := ct.tr
 
-	// The sweep engine schedules over the program's predecoded tables.
+	// The sweep engine schedules over the predecoded tables of the program
+	// the trace replays, which on a trace hit may be an evicted build.
 	var pre *uarch.Predecoded
 	preHit := false
 	if engine == engineSweep {
-		pre, preHit = bp.predecode(plan.Configs[0].EffectiveIssueWidth())
+		pre, preHit = ct.bp.predecode(plan.Configs[0].EffectiveIssueWidth())
 		s.metrics.countPredecode(preHit)
 	}
 	resp.ArtifactCache = &ArtifactHits{
@@ -190,16 +189,6 @@ func (s *Server) execute(j *job) (*SimResponse, error) {
 	switch engine {
 	case engineSweep:
 		results, err = uarch.SweepPredecoded(j.ctx, tr, plan.Configs, s.cfg.JobWorkers, pre)
-	case engineSegmented:
-		var r *uarch.Result
-		r, err = uarch.ReplayTraceSegmentedContext(j.ctx, tr, plan.Configs[0], uarch.SegmentOptions{
-			Workers:  s.cfg.JobWorkers,
-			Segments: plan.Segments,
-			Observer: segObserver{s.metrics},
-		})
-		if err == nil {
-			results = []*uarch.Result{r}
-		}
 	default:
 		results, err = uarch.SimulateManyContext(j.ctx, tr, plan.Configs, s.cfg.JobWorkers)
 	}

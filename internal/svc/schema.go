@@ -23,7 +23,7 @@ import (
 // SchemaVersion is the request/response schema this package speaks. Requests
 // must carry it in their "version" field; responses echo it. Bump it only
 // with a migration note in DESIGN.md §8.
-const SchemaVersion = 2
+const SchemaVersion = 3
 
 // SimRequest is one simulation job. Exactly one program source (source,
 // seed, or workload) and exactly one of Config (single timing run) or Sweep
@@ -44,13 +44,6 @@ type SimRequest struct {
 	// Sweep runs a grid over icache sizes and predictor axes: a Figure 6/7
 	// icache sweep, a predictor-sensitivity sweep, or their cross product.
 	Sweep *SweepSpec `json:"sweep,omitempty"`
-	// Segments, on a single-Config run, asks the segment-parallel replay
-	// engine to split the trace into this many checkpointed segments. It is
-	// the only way to reach that engine: 0 (or absent) runs the config as a
-	// one-lane sweep, or per-config replay where the sweep does not apply.
-	// Results are field-for-field identical either way; the knob only trades
-	// latency. Schema-additive: only valid with Config, rejected with Sweep.
-	Segments int `json:"segments,omitempty"`
 	// TimeoutMs, when positive, caps the job's wall time; the job's context
 	// is canceled at the deadline (subject to the server's own ceiling).
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
@@ -170,9 +163,8 @@ type SimResponse struct {
 	// parsing Error text).
 	ErrorCode string `json:"error_code,omitempty"`
 	// Engine reports which timing path ran: "sweep" (the unified multi-axis
-	// single-pass engine, a single config included), "replay-segmented"
-	// (the segment-parallel single-config engine, on request), or
-	// "simulate-many" (one replay per config).
+	// single-pass engine, a single config included) or "simulate-many" (one
+	// replay per config, for configs or ISAs the sweep cannot serve).
 	Engine string `json:"engine,omitempty"`
 	// ArtifactCache reports whether this job reused a cached compiled
 	// program / recorded trace.

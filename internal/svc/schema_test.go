@@ -15,13 +15,15 @@ var decodeCases = []struct {
 	body string
 	want error // nil means the decode must succeed
 }{
-	{"minimal sim", `{"version":2,"program":{"seed":7,"isa":"conv"},"config":{}}`, nil},
-	{"minimal sweep", `{"version":2,"program":{"workload":"compress","isa":"bsa"},"sweep":{"icache_sizes":[0,8192]}}`, nil},
-	{"unknown top-level field", `{"version":2,"prorgam":{}}`, ErrBadRequest},
-	{"unknown nested field", `{"version":2,"program":{"isa":"conv","sede":7}}`, ErrBadRequest},
-	{"trailing data", `{"version":2,"program":{"seed":7,"isa":"conv"},"config":{}} {"x":1}`, ErrBadRequest},
+	{"minimal sim", `{"version":3,"program":{"seed":7,"isa":"conv"},"config":{}}`, nil},
+	{"minimal sweep", `{"version":3,"program":{"workload":"compress","isa":"bsa"},"sweep":{"icache_sizes":[0,8192]}}`, nil},
+	{"unknown top-level field", `{"version":3,"prorgam":{}}`, ErrBadRequest},
+	{"unknown nested field", `{"version":3,"program":{"isa":"conv","sede":7}}`, ErrBadRequest},
+	{"trailing data", `{"version":3,"program":{"seed":7,"isa":"conv"},"config":{}} {"x":1}`, ErrBadRequest},
 	{"missing version", `{"program":{"seed":7,"isa":"conv"},"config":{}}`, ErrBadVersion},
 	{"future version", `{"version":99,"program":{"seed":7,"isa":"conv"},"config":{}}`, ErrBadVersion},
+	{"previous version", `{"version":2,"program":{"seed":7,"isa":"conv"},"config":{}}`, ErrBadVersion},
+	{"removed segments field", `{"version":3,"program":{"seed":7,"isa":"conv"},"config":{},"segments":4}`, ErrBadRequest},
 	{"not json", `hello`, ErrBadRequest},
 }
 
@@ -37,6 +39,9 @@ func TestDecodeRequestStrict(t *testing.T) {
 			}
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("DecodeRequest = %v, want errors.Is(err, %v)", err, tc.want)
+			}
+			if code, want := ErrorCode(err), ErrorCode(tc.want); code != want {
+				t.Fatalf("DecodeRequest = %v, code %q, want %q", err, code, want)
 			}
 			// Every decode failure must also match the root sentinel.
 			if !errors.Is(err, ErrBadRequest) {

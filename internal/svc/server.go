@@ -25,8 +25,9 @@ type ServerConfig struct {
 	// enqueueing blocks (and the client's deadline starts rejecting);
 	// <= 0 means 2*Workers.
 	QueueDepth int
-	// JobWorkers bounds each job's internal engine concurrency
-	// (uarch.SimulateMany / SweepICache workers; <= 0 means GOMAXPROCS).
+	// JobWorkers bounds each job's internal engine concurrency (the
+	// uarch.SweepPredecoded lane groups or uarch.SimulateManyContext
+	// replays; <= 0 means GOMAXPROCS).
 	JobWorkers int
 	// DefaultTimeout caps jobs that carry no timeout_ms of their own
 	// (0 = no cap). A request's own timeout may only shorten it.
@@ -118,15 +119,6 @@ func NewServer(cfg ServerConfig) *Server {
 		go s.worker()
 	}
 	return s
-}
-
-// jobWorkers resolves the configured per-job engine concurrency
-// (<= 0 means GOMAXPROCS, mirroring the engines' own defaulting).
-func (s *Server) jobWorkers() int {
-	if s.cfg.JobWorkers > 0 {
-		return s.cfg.JobWorkers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (s *Server) worker() {

@@ -25,9 +25,8 @@ import (
 func quietConfig() ServerConfig {
 	return ServerConfig{
 		Workers: 4,
-		// One engine worker per job keeps a request for segments on the
-		// sequential engines regardless of the host's core count; the
-		// segmented engine's routing is exercised separately.
+		// One engine worker per job keeps each job's lanes and replays on
+		// one goroutine, whatever the host's core count.
 		JobWorkers: 1,
 		Logger:     slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
@@ -228,10 +227,10 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		name string
 		body string
 	}{
-		{"unknown field", `{"version":2,"bogus":1}`},
+		{"unknown field", `{"version":3,"bogus":1}`},
 		{"wrong version", `{"version":9,"program":{"seed":1,"isa":"conv"},"config":{}}`},
-		{"bad geometry", `{"version":2,"program":{"seed":1,"isa":"conv"},"config":{"icache":{"size_bytes":3000}}}`},
-		{"no engine selected", `{"version":2,"program":{"seed":1,"isa":"conv"}}`},
+		{"bad geometry", `{"version":3,"program":{"seed":1,"isa":"conv"},"config":{"icache":{"size_bytes":3000}}}`},
+		{"no engine selected", `{"version":3,"program":{"seed":1,"isa":"conv"}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

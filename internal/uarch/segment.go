@@ -1,5 +1,11 @@
 // Segment-parallel trace replay.
 //
+// No product path routes here: the service, the CLIs and bsbench time every
+// configuration with the sweep lanes or per-config replay. The repository
+// benchmark's library probe (perfbench/library.go) is the only caller of
+// ReplayTraceSegmented outside tests, and this engine, the Snapshot/Restore
+// checkpoint methods and emu.Trace.Cursor stay only as long as it does.
+//
 // A single timing replay walks the committed stream on one goroutine, so a
 // long-trace request is bound by trace length no matter how many cores the
 // box has. This engine splits the trace into contiguous segments and times
@@ -13,7 +19,7 @@
 //     accesses, predict/update, wrong-path pollution probes) depends only on
 //     the committed stream and the configuration, never on timing state —
 //     provided the trace cache and multi-block fetch are disabled, which is
-//     exactly what CanSegment gates (both take the fetch cycle as an input
+//     exactly what canSegment gates (both take the fetch cycle as an input
 //     to their architectural behavior).
 //
 //  2. Per-segment timing lanes run concurrently on a bounded worker pool,
@@ -55,7 +61,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"time"
 
 	"bsisa/internal/backend"
 	"bsisa/internal/bpred"
@@ -77,29 +82,16 @@ const (
 	segMatchLimit = 8192
 )
 
-// CanSegment reports whether a configuration is eligible for the
+// canSegment reports whether a configuration is eligible for the
 // segment-parallel replay engine. The trace cache and multi-block fetch take
 // the fetch cycle as an input to their architectural behavior (trace-window
 // sharing, fetch grouping), so under either the warm pass's timing-free walk
 // could not reproduce the icache stream and checkpoints would be wrong;
 // everything else — any cache/predictor geometry, perfect branch prediction
 // — segments exactly.
-func CanSegment(cfg Config) bool {
+func canSegment(cfg Config) bool {
 	cfg = cfg.withDefaults()
 	return !cfg.TraceCache.Enabled() && !cfg.MultiBlock.Enabled()
-}
-
-// SegmentObserver receives segment-lane progress from a segmented replay,
-// for service metrics (bsimd's segment-queue gauge and per-segment latency
-// histogram). Methods may be called from multiple goroutines.
-type SegmentObserver interface {
-	// SegmentsQueued reports the total number of segment lanes about to be
-	// scheduled, once per replay before any lane starts.
-	SegmentsQueued(n int)
-	// SegmentStart reports a lane leaving the queue and beginning to replay.
-	SegmentStart()
-	// SegmentDone reports a lane finishing, with its replay wall time.
-	SegmentDone(d time.Duration)
 }
 
 // SegmentOptions parameterizes ReplayTraceSegmented.
@@ -109,8 +101,6 @@ type SegmentOptions struct {
 	// Segments is the number of trace segments; <= 0 picks 4x Workers
 	// (load-balancing slack), capped so no segment falls under segMinEvents.
 	Segments int
-	// Observer, when non-nil, receives per-segment progress.
-	Observer SegmentObserver
 }
 
 // archCheckpoint is the exact architectural state at a segment boundary.
@@ -126,16 +116,16 @@ var errSegmentAborted = errors.New("uarch: segment checkpoint unavailable")
 
 // ReplayTraceSegmented is ReplayTrace parallelized across trace segments.
 // The result is field-for-field identical to ReplayTrace for every worker
-// count and segment count; configurations CanSegment rejects (and degenerate
+// count and segment count; configurations canSegment rejects (and degenerate
 // splits) fall back to the sequential replay.
 func ReplayTraceSegmented(t *emu.Trace, cfg Config, opt SegmentOptions) (*Result, error) {
-	return ReplayTraceSegmentedContext(context.Background(), t, cfg, opt)
+	return replayTraceSegmentedContext(context.Background(), t, cfg, opt)
 }
 
-// ReplayTraceSegmentedContext is ReplayTraceSegmented with cooperative
+// replayTraceSegmentedContext is ReplayTraceSegmented with cooperative
 // cancellation: the warm pass, every lane and the stitch check ctx between
 // event chunks, and the call returns with every goroutine drained.
-func ReplayTraceSegmentedContext(ctx context.Context, t *emu.Trace, cfg Config, opt SegmentOptions) (*Result, error) {
+func replayTraceSegmentedContext(ctx context.Context, t *emu.Trace, cfg Config, opt SegmentOptions) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -157,7 +147,7 @@ func ReplayTraceSegmentedContext(ctx context.Context, t *emu.Trace, cfg Config, 
 		// the finest meaningful split.
 		segs = n
 	}
-	if !CanSegment(cfg) || workers <= 1 || segs <= 1 {
+	if !canSegment(cfg) || workers <= 1 || segs <= 1 {
 		return ReplayTraceContext(ctx, t, cfg)
 	}
 	if err := cfg.Validate(); err != nil {
@@ -201,10 +191,6 @@ func ReplayTraceSegmentedContext(ctx context.Context, t *emu.Trace, cfg Config, 
 		}
 	}()
 
-	obs := opt.Observer
-	if obs != nil {
-		obs.SegmentsQueued(segs)
-	}
 	lanes := make([]*segLane, segs)
 	err := fanOut(ctx, segs, workers, func(i int) error {
 		var ck *archCheckpoint
@@ -219,18 +205,11 @@ func ReplayTraceSegmentedContext(ctx context.Context, t *emu.Trace, cfg Config, 
 			}
 			ck = &ckpts[i]
 		}
-		if obs != nil {
-			obs.SegmentStart()
-		}
-		start := time.Now()
 		l, err := runSegmentLane(ctx, t, cfg, pre, bounds[i], bounds[i+1], ck, i == segs-1)
 		if err != nil {
 			return fmt.Errorf("uarch: segment %d: %w", i, err)
 		}
 		lanes[i] = l
-		if obs != nil {
-			obs.SegmentDone(time.Since(start))
-		}
 		return nil
 	})
 	if err != nil {

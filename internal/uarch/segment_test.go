@@ -55,7 +55,7 @@ func TestSegmentedMatchesReplay(t *testing.T) {
 				{ICache: cache.Config{SizeBytes: 1024, Ways: 4}, PerfectBP: true},
 				{}, // perfect icache, default predictor
 			} {
-				if !CanSegment(cfg) {
+				if !canSegment(cfg) {
 					t.Fatalf("config should segment: %+v", cfg)
 				}
 				want, err := ReplayTrace(tr, cfg)
@@ -108,20 +108,20 @@ func TestSegmentedDeterministic(t *testing.T) {
 }
 
 // TestSegmentedRejectsTimingCoupledFetch pins the gate: the trace cache and
-// multi-block fetch couple architectural state to timing, so CanSegment
+// multi-block fetch couple architectural state to timing, so canSegment
 // refuses them and the engine falls back to the sequential replay (still
 // returning the exact result).
 func TestSegmentedRejectsTimingCoupledFetch(t *testing.T) {
 	tcCfg := Config{TraceCache: TraceCacheConfig{Sets: 64, Ways: 4}}
 	mbCfg := Config{MultiBlock: MultiBlockConfig{Blocks: 4}}
-	if CanSegment(tcCfg) {
-		t.Error("CanSegment accepted a trace-cache config")
+	if canSegment(tcCfg) {
+		t.Error("canSegment accepted a trace-cache config")
 	}
-	if CanSegment(mbCfg) {
-		t.Error("CanSegment accepted a multi-block config")
+	if canSegment(mbCfg) {
+		t.Error("canSegment accepted a multi-block config")
 	}
-	if !CanSegment(Config{}) || !CanSegment(Config{PerfectBP: true}) {
-		t.Error("CanSegment rejected a plain config")
+	if !canSegment(Config{}) || !canSegment(Config{PerfectBP: true}) {
+		t.Error("canSegment rejected a plain config")
 	}
 	tr := segTrace(t, 7200, isa.Conventional)
 	for _, cfg := range []Config{tcCfg, mbCfg} {
@@ -148,14 +148,14 @@ func TestSegmentedCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ReplayTraceSegmentedContext(ctx, tr, cfg, SegmentOptions{Workers: 4, Segments: 8}); !errors.Is(err, context.Canceled) {
+	if _, err := replayTraceSegmentedContext(ctx, tr, cfg, SegmentOptions{Workers: 4, Segments: 8}); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-canceled: err = %v, want context.Canceled", err)
 	}
 
 	ctx, cancel = context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := ReplayTraceSegmentedContext(ctx, tr, cfg, SegmentOptions{Workers: 4, Segments: 8})
+		_, err := replayTraceSegmentedContext(ctx, tr, cfg, SegmentOptions{Workers: 4, Segments: 8})
 		done <- err
 	}()
 	cancel()
